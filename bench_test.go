@@ -1,7 +1,7 @@
 // Package ctrlsched_bench holds the top-level benchmark harness: one
 // testing.B benchmark per table and figure of the reproduced paper
 // (Aminifar & Bini, DATE 2017), plus ablation benches for the design
-// choices called out in DESIGN.md. Run with:
+// choices the README's "Benchmarks" section describes. Run with:
 //
 //	go test -bench=. -benchmem .
 //
@@ -196,8 +196,9 @@ func BenchmarkAssignUnsafeQuadratic20(b *testing.B) {
 	}
 }
 
-// Ablation: memoization of the backtracking search (DESIGN.md calls this
-// out; the paper's Algorithm 1 does not memoize).
+// Ablation: memoization of the backtracking search (the README's
+// "Benchmarks" section notes the memoized evaluator; the paper's
+// Algorithm 1 does not memoize).
 func BenchmarkAblationBacktrackingMemoized(b *testing.B) {
 	sharedGen.Warm()
 	rng := rand.New(rand.NewSource(10))

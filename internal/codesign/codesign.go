@@ -25,8 +25,8 @@
 //
 // # Search
 //
-// Warm-started alternating minimization in the style of block-coordinate
-// descent (cf. the alternating schemes in PAPERS.md):
+// Alternating minimization in the style of block-coordinate descent
+// (cf. the alternating schemes in PAPERS.md):
 //
 //	(a) per-loop period selection: one loop's candidate grid is swept
 //	    with every other loop frozen, fanned out over the campaign pool;
@@ -155,15 +155,6 @@ type Options struct {
 	// campaign.ItemSeed(Seed, i), so per-candidate results are
 	// reproducible independently of scheduling order.
 	Seed int64
-	// WarmStart seeds each candidate's Riccati and Lyapunov solves from
-	// the neighboring (next-shorter) period's converged solution of the
-	// same loop (lqg.SynthesizeWarm). Warm solutions agree with cold
-	// ones to solver tolerance but are not guaranteed bit-identical, so
-	// warm designs carry no cache fingerprint and every process-wide
-	// kernel cache bypasses them — results stay deterministic for a
-	// given flag value and the cache is never polluted with
-	// hint-dependent bits. Default false: bit-identical cold solves.
-	WarmStart bool
 	// Workers is the fan-out width of every candidate evaluation
 	// (default all CPUs). Results never depend on it.
 	Workers int
@@ -477,80 +468,41 @@ func (e *engine) fan(n int, fn func(i int)) error {
 }
 
 // evalMargins synthesizes designs and jitter margins for the given
-// candidate indices. Cold runs fan every candidate out over the pool
-// independently. Warm-started runs fan per loop instead and walk each
-// loop's candidates in ascending period order, seeding every synthesis
-// from the loop's previously converged neighbor (lqg.SynthesizeWarm):
-// the sequential chain is what carries the warm-start hint.
+// candidate indices, fanning every candidate out over the pool
+// independently.
 func (e *engine) evalMargins(idxs []int) error {
-	if !e.opt.WarmStart {
-		return e.fan(len(idxs), func(k int) {
-			e.evalMargin(idxs[k], nil)
-		})
-	}
-	byLoop := make(map[int][]int)
-	var order []int
-	for _, i := range idxs {
-		l := e.cands[i].Loop
-		if _, ok := byLoop[l]; !ok {
-			order = append(order, l)
-		}
-		byLoop[l] = append(byLoop[l], i)
-	}
-	for _, g := range byLoop {
-		sort.Slice(g, func(a, b int) bool {
-			return e.cands[g[a]].Period < e.cands[g[b]].Period
-		})
-	}
-	return e.fan(len(order), func(k int) {
-		var prev *lqg.Design
-		for _, i := range byLoop[order[k]] {
-			if d := e.evalMargin(i, prev); d != nil {
-				prev = d
-			}
-		}
+	return e.fan(len(idxs), func(k int) {
+		e.evalMargin(idxs[k])
 	})
 }
 
-// evalMargin evaluates one candidate: synthesis (warm-started from prev
-// when the engine runs warm), standalone cost, and jitter margin. It
-// returns the synthesized design (nil when the candidate has none) so
-// warm chains can seed the next-period neighbor.
-func (e *engine) evalMargin(i int, prev *lqg.Design) *lqg.Design {
+// evalMargin evaluates one candidate: synthesis, standalone cost, and
+// jitter margin.
+func (e *engine) evalMargin(i int) {
 	c := &e.cands[i]
 	lp := e.loops[c.Loop]
 	if lp.WCET > c.Period {
 		c.Cost, c.Note = math.Inf(1), "wcet exceeds period"
 		c.Objective, c.Empirical = math.Inf(1), math.Inf(1)
-		return nil
+		return
 	}
-	var d *lqg.Design
-	var err error
-	if e.opt.WarmStart {
-		d, err = lqg.SynthesizeWarm(lp.Plant, c.Period, prev)
-	} else {
-		d, err = lqg.SynthesizeCached(lp.Plant, c.Period)
-	}
+	d, err := lqg.SynthesizeCached(lp.Plant, c.Period)
 	if err != nil {
 		c.Cost, c.Note = math.Inf(1), "unstabilizable"
 		c.Objective, c.Empirical = math.Inf(1), math.Inf(1)
-		return nil
+		return
 	}
 	c.Cost = d.Cost
-	// Warm designs carry a zero fingerprint, which AnalyzeCached treats
-	// as "no cache identity": the margin is computed fresh rather than
-	// stored under a key cold runs would share.
 	m, err := jitter.AnalyzeCached(d, jitter.Options{})
 	if err != nil {
 		c.Note = "no jitter margin"
 		c.Objective, c.Empirical = math.Inf(1), math.Inf(1)
-		return d
+		return
 	}
 	c.ConA, c.ConB = m.A, m.B
 	c.Feasible = true
 	c.Objective, c.Empirical = math.Inf(1), math.Inf(1)
 	e.designs[i] = d
-	return d
 }
 
 // buildTasks assembles the task vector for a configuration: sel holds

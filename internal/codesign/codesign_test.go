@@ -294,35 +294,6 @@ func TestUnstabilizableCandidateKeepsInfiniteEmpirical(t *testing.T) {
 	}
 }
 
-// TestWarmStartSameSelection pins the warm-start contract: seeding the
-// Riccati/Lyapunov solves from the neighboring period must not change
-// the selected periods or priorities on the paper scenario, and the
-// objective agrees to solver tolerance. (Bit-identity is explicitly NOT
-// promised for warm runs; selection identity is.)
-func TestWarmStartSameSelection(t *testing.T) {
-	opt := Options{Seed: 42, Horizon: 0.5, Workers: 2, Refine: 1}
-	cold := runScenario(t, opt)
-	opt.WarmStart = true
-	warm := runScenario(t, opt)
-	if cold.Feasible != warm.Feasible {
-		t.Fatalf("feasibility differs: cold %v, warm %v", cold.Feasible, warm.Feasible)
-	}
-	if !reflect.DeepEqual(cold.Periods, warm.Periods) {
-		t.Fatalf("selected periods differ: cold %v, warm %v", cold.Periods, warm.Periods)
-	}
-	if !reflect.DeepEqual(cold.Priorities, warm.Priorities) {
-		t.Fatalf("priorities differ: cold %v, warm %v", cold.Priorities, warm.Priorities)
-	}
-	if d := math.Abs(cold.TotalCost-warm.TotalCost) / (1 + math.Abs(cold.TotalCost)); d > 1e-6 {
-		t.Fatalf("objective deviates: cold %v, warm %v (rel %g)", cold.TotalCost, warm.TotalCost, d)
-	}
-	// Warm runs must themselves be deterministic.
-	warm2 := runScenario(t, opt)
-	if !reflect.DeepEqual(warm, warm2) {
-		t.Fatal("warm-started run not deterministic across repetitions")
-	}
-}
-
 // TestDiagnoseUsesRequestMethod is the regression test for the
 // candidate-table bug where diagnose computed Schedulable with
 // DefaultAssign regardless of the method the request selected. With an

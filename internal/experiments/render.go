@@ -1,5 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (and the extensions catalogued in DESIGN.md): Fig. 2 (LQG
+// evaluation (and the extensions the README's "Parallel campaigns"
+// section lists: the anomaly sweep and the method comparison): Fig. 2 (LQG
 // cost versus sampling period), Fig. 4 (jitter-margin stability curves
 // with linear lower bounds), Table I (fraction of invalid assignments
 // produced by the monotonicity-assuming baseline), and Fig. 5 (runtime of

@@ -28,8 +28,11 @@ import (
 // admission path (byte accounting, CLOCK eviction), so a snapshot can
 // never overfill a smaller cache.
 
-// snapMagic identifies a kmemo snapshot and versions its layout.
-const snapMagic = "kmemo-snap-1\n"
+// snapMagic identifies a kmemo snapshot and versions its layout. Bump
+// it whenever a registered codec's payload layout changes: a snapshot
+// under another magic is refused as a whole, and the process starts
+// with a cold cache, which is always correct.
+const snapMagic = "kmemo-snap-2\n"
 
 // Codec serializes one concrete value type for snapshots. Encode
 // reports false when the value is not its type (the registry tries

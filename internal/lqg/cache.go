@@ -72,7 +72,7 @@ func designBytes(d *Design) int64 {
 	return 256 + matBytes(d.Phi) + matBytes(d.Gamma) +
 		matBytes(d.Q1d) + matBytes(d.Q12d) + matBytes(d.Q2d) +
 		matBytes(d.Rd) + matBytes(d.L) + matBytes(d.Kf) +
-		matBytes(d.S) + matBytes(d.Pf) + matBytes(d.sigma)
+		matBytes(d.S) + matBytes(d.Pf)
 }
 
 // synthEntry is the cached outcome of one synthesis — failures

@@ -60,16 +60,11 @@ type Design struct {
 	JNoise float64 // controller-independent intersample noise cost per period
 
 	// fp is the canonical fingerprint of (plant, period), the design's
-	// identity in the process-wide kernel cache (see cache.go). Warm-
-	// started designs (SynthesizeWarm) deliberately leave it zero: their
-	// hint-dependent low-order bits must never be stored under a key a
-	// cold computation would share.
+	// identity in the process-wide kernel cache (see cache.go). Designs
+	// built by hand rather than by Synthesize leave it zero, which the
+	// cached kernels treat as "no cache identity", so distinct hand-built
+	// designs never alias one cache entry.
 	fp kmemo.Key
-
-	// sigma is the converged closed-loop stationary covariance (2n×2n),
-	// retained so a neighboring-period synthesis can seed its Lyapunov
-	// solve from it (the warm-start chain of the co-design engine).
-	sigma *mat.Matrix
 }
 
 // Controller returns the observer-based controller as a discrete-time
@@ -135,65 +130,6 @@ func Synthesize(p *plant.Plant, h float64) (*Design, error) {
 	return d, nil
 }
 
-// SynthesizeWarm designs the LQG controller for plant p at period h,
-// seeding the control/filter Riccati iterations and the stationary-
-// covariance Lyapunov solve from prev — a converged design for the same
-// plant at a neighboring period. The warm solutions meet the same
-// convergence tolerances and pass the same stability/PSD post-checks as
-// the cold solvers, but are not guaranteed bit-identical to Synthesize;
-// accordingly the returned Design carries a zero fingerprint so it is
-// never stored in (or served from) the process-wide kernel cache. A nil
-// prev falls back to SynthesizeCached — genuinely cold and cacheable.
-// Every seeded solve falls back to its cold counterpart when the hint
-// fails to converge, so SynthesizeWarm never fails where Synthesize
-// would succeed.
-func SynthesizeWarm(p *plant.Plant, h float64, prev *Design) (*Design, error) {
-	if prev == nil {
-		return SynthesizeCached(p, h)
-	}
-	if h <= 0 {
-		panic("lqg: period must be positive")
-	}
-	sys := p.Sys
-	disc, err := lti.C2D(sys, h)
-	if err != nil {
-		return nil, err
-	}
-	phi, gamma := disc.A, disc.B
-
-	q1d, q12d, q2d := SampleCost(sys.A, sys.B, p.Q1, p.Q2, h)
-	rd := SampleNoise(sys.A, p.R1, h)
-	r2d := p.R2 / h
-
-	ctrl, err := riccati.SolveCrossHint(phi, gamma, q1d, q2d, q12d, prev.S)
-	if err != nil {
-		return nil, ErrUnstabilizable
-	}
-	c := sys.C
-	r2dm := mat.Diag(r2d)
-	filt, err := riccati.SolveHint(phi.T(), c.T(), rd, r2dm, prev.Pf)
-	if err != nil {
-		return nil, ErrUnstabilizable
-	}
-	kf := filt.K.T()
-
-	// fp is deliberately left zero: see the Design.fp doc comment.
-	d := &Design{
-		Plant: p, H: h,
-		Phi: phi, Gamma: gamma,
-		Q1d: q1d, Q12d: q12d, Q2d: q2d,
-		Rd: rd, R2d: r2d,
-		L: ctrl.K, Kf: kf, S: ctrl.P, Pf: filt.P,
-	}
-	d.JNoise = intersampleNoiseCost(sys.A, p.R1, p.Q1, h)
-	cost, err := d.stationaryCostFrom(prev.sigma)
-	if err != nil {
-		return nil, ErrUnstabilizable
-	}
-	d.Cost = cost
-	return d, nil
-}
-
 // Cost evaluates only the stationary cost density J(h) for plant p at
 // period h, returning +Inf when no stabilizing design exists. This is the
 // quantity plotted against the sampling period in the paper's Fig. 2.
@@ -216,16 +152,6 @@ func Cost(p *plant.Plant, h float64) float64 {
 // Σ = A_cl Σ A_clᵀ + W_cl, and the per-period cost is
 // tr(Q_d · T Σ Tᵀ) + JNoise with z = [x; u] = T·ξ.
 func (d *Design) stationaryCost() (float64, error) {
-	return d.stationaryCostFrom(nil)
-}
-
-// stationaryCostFrom is stationaryCost with an optional warm-start seed
-// for the Lyapunov solve: when seed is a 2n×2n matrix (the retained Σ of
-// a neighboring-period design) the Smith iteration is tried first and the
-// direct vectorized solve kept as fallback, so the function never fails
-// where the cold path would succeed. A nil seed reproduces the cold path
-// bit for bit.
-func (d *Design) stationaryCostFrom(seed *mat.Matrix) (float64, error) {
 	n := d.Phi.Rows()
 	m := d.Gamma.Cols()
 	c := d.Plant.Sys.C
@@ -242,20 +168,10 @@ func (d *Design) stationaryCostFrom(seed *mat.Matrix) (float64, error) {
 
 	// DLyap solves AᵀXA − X + Q = 0; stationary covariance needs
 	// Σ = AΣAᵀ + W, i.e. the same equation with A → A_clᵀ.
-	var sigma *mat.Matrix
-	if seed != nil && seed.IsSquare() && seed.Rows() == 2*n {
-		if s, err := lyap.DLyapSeeded(acl.T(), wcl, seed); err == nil {
-			sigma = s
-		}
+	sigma, err := lyap.DLyap(acl.T(), wcl)
+	if err != nil {
+		return 0, err
 	}
-	if sigma == nil {
-		var err error
-		sigma, err = lyap.DLyap(acl.T(), wcl)
-		if err != nil {
-			return 0, err
-		}
-	}
-	d.sigma = sigma
 
 	// z = [x; u] = T·ξ with T = [[I 0]; [0 −L]].
 	t := mat.New(n+m, 2*n)

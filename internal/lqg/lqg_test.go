@@ -186,3 +186,20 @@ func BenchmarkSynthesizeDCServo(b *testing.B) {
 		}
 	}
 }
+
+// TestSynthesizeColdDeterministic pins that two cold syntheses of one
+// (plant, period) agree bit for bit.
+func TestSynthesizeColdDeterministic(t *testing.T) {
+	p := plant.InvertedPendulum()
+	d1, err := Synthesize(p, 0.008)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Synthesize(p, 0.008)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1.Cost != d2.Cost || mat.MaxAbsDiff(d1.S, d2.S) != 0 || mat.MaxAbsDiff(d1.Pf, d2.Pf) != 0 {
+		t.Fatal("cold synthesis not deterministic")
+	}
+}

@@ -135,7 +135,6 @@ func appendDesign(e *kmemo.SnapEnc, d *Design) {
 	e.F64(d.Cost)
 	e.F64(d.JNoise)
 	e.Raw(d.fp[:])
-	appendMat(e, d.sigma)
 }
 
 func readDesign(d *kmemo.SnapDec) (*Design, error) {
@@ -192,11 +191,6 @@ func readDesign(d *kmemo.SnapDec) (*Design, error) {
 	des.Cost = d.F64()
 	des.JNoise = d.F64()
 	copy(des.fp[:], d.Raw(kmemo.KeySize))
-	sigma, err := readMat(d)
-	if err != nil {
-		return nil, err
-	}
-	des.sigma = sigma
 	if err := d.Err(); err != nil {
 		return nil, err
 	}

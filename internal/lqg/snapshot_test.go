@@ -58,7 +58,7 @@ func TestSynthSnapshotCodecRoundTrip(t *testing.T) {
 	pairs := []struct{ a, b *mat.Matrix }{
 		{r.Phi, d.Phi}, {r.Gamma, d.Gamma}, {r.Q1d, d.Q1d}, {r.Q12d, d.Q12d},
 		{r.Q2d, d.Q2d}, {r.Rd, d.Rd}, {r.L, d.L}, {r.Kf, d.Kf},
-		{r.S, d.S}, {r.Pf, d.Pf}, {r.sigma, d.sigma},
+		{r.S, d.S}, {r.Pf, d.Pf},
 		{r.Plant.Sys.A, d.Plant.Sys.A}, {r.Plant.Q1, d.Plant.Q1},
 	}
 	for i, pr := range pairs {

@@ -53,46 +53,6 @@ func CLyap(a, q *mat.Matrix) (*mat.Matrix, error) {
 	return mat.Unvec(x, n, n).Symmetrize(), nil
 }
 
-// DLyapSeeded solves AᵀXA − X + Q = 0 by the plain Smith fixed-point
-// iteration X ← AᵀXA + Q started from x0 — the warm-start entry point:
-// when x0 is the converged solution of a neighboring problem (e.g. the
-// stationary covariance at an adjacent sampling period), the contraction
-// needs only a few steps. Converges for Schur-stable A; a poor seed or
-// an unstable A exhausts the budget (or blows up) and returns
-// ErrNoSolution, in which case callers should fall back to the direct
-// DLyap solve. The solution satisfies the same residual-level tolerance
-// as the cold solvers but is not guaranteed bit-identical to DLyap.
-func DLyapSeeded(a, q, x0 *mat.Matrix) (*mat.Matrix, error) {
-	if !a.IsSquare() || !q.IsSquare() || a.Rows() != q.Rows() {
-		panic("lyap: DLyapSeeded requires square A and Q of equal size")
-	}
-	if !x0.IsSquare() || x0.Rows() != a.Rows() {
-		panic("lyap: DLyapSeeded seed must match A in size")
-	}
-	n := a.Rows()
-	at := a.T()
-	x := x0.Clone()
-	var (
-		atx = mat.New(n, n)
-		t1  = mat.New(n, n)
-		xn  = mat.New(n, n)
-	)
-	for iter := 0; iter < 2000; iter++ {
-		mat.MulInto(atx, at, x)
-		mat.MulInto(t1, atx, a)
-		mat.AddInto(t1, t1, q)
-		mat.SymmetrizeInto(xn, t1)
-		if xn.HasNaN() || xn.MaxAbs() > 1e14 {
-			return nil, ErrNoSolution
-		}
-		if mat.MaxAbsDiff(xn, x) <= 1e-14*(1+xn.MaxAbs()) {
-			return xn, nil
-		}
-		x, xn = xn, x
-	}
-	return nil, ErrNoSolution
-}
-
 // DLyapSmith solves AᵀXA − X + Q = 0 by the squared Smith iteration
 //
 //	X ← X + AᵀXA, A ← A², starting from X = Q,

@@ -148,34 +148,3 @@ func TestSmithDivergesOnUnstable(t *testing.T) {
 		t.Fatal("Smith iteration should fail for unstable A")
 	}
 }
-
-func TestDLyapSeededMatchesDirect(t *testing.T) {
-	a := mat.FromRows([][]float64{{0.8, 0.3}, {-0.2, 0.6}})
-	q := mat.FromRows([][]float64{{1, 0.1}, {0.1, 2}})
-	direct, err := DLyap(a, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seeded from the exact solution: converges immediately and agrees.
-	fast, err := DLyapSeeded(a, q, direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.MaxAbsDiff(direct, fast) > 1e-10*(1+direct.MaxAbs()) {
-		t.Fatal("perfect-seed solution deviates from direct solve")
-	}
-	// Seeded from a nearby solution (the warm-chain case).
-	near := direct.Scale(1.05)
-	warm, err := DLyapSeeded(a, q, near)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.MaxAbsDiff(direct, warm) > 1e-9*(1+direct.MaxAbs()) {
-		t.Fatal("near-seed solution deviates from direct solve")
-	}
-	// Unstable A must exhaust the budget, not hang or return junk.
-	unstable := mat.FromRows([][]float64{{1.2, 0}, {0, 0.5}})
-	if _, err := DLyapSeeded(unstable, q, q); err == nil {
-		t.Fatal("expected failure for unstable A")
-	}
-}

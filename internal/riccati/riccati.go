@@ -45,7 +45,7 @@ type Solution struct {
 // Solve computes the stabilizing solution of the DARE for the weights
 // (Q, R) with zero cross term. See SolveCross for the general form.
 func Solve(a, b, q, r *mat.Matrix) (*Solution, error) {
-	return solveCross(a, b, q, r, nil, nil)
+	return solveCross(a, b, q, r, nil)
 }
 
 // SolveCross computes the stabilizing DARE solution with cross-weighting
@@ -53,30 +53,10 @@ func Solve(a, b, q, r *mat.Matrix) (*Solution, error) {
 // substitution Ā = A − B·R⁻¹·Sᵀ, Q̄ = Q − S·R⁻¹·Sᵀ, after which the
 // zero-cross DARE is solved and the gain is reassembled.
 func SolveCross(a, b, q, r, s *mat.Matrix) (*Solution, error) {
-	return solveCross(a, b, q, r, s, nil)
+	return solveCross(a, b, q, r, s)
 }
 
-// SolveHint is Solve warm-started from hint, a presumed-near solution
-// (typically the converged P of a neighboring problem). See
-// SolveCrossHint for semantics.
-func SolveHint(a, b, q, r, hint *mat.Matrix) (*Solution, error) {
-	return solveCross(a, b, q, r, nil, hint)
-}
-
-// SolveCrossHint is SolveCross warm-started from hint. When hint is
-// square of the right order, the fixed-point iteration starts from it
-// instead of cold-starting the doubling algorithm; a hint near the true
-// solution converges in a handful of contraction steps. The warm result
-// satisfies the same convergence tolerance and the same stabilizing
-// post-checks as a cold solve but is not guaranteed bit-identical to
-// one. A useless hint (diverging or non-converging iteration) falls back
-// to the cold path, so the hint can only speed things up, never change
-// solvability. A nil hint is exactly SolveCross.
-func SolveCrossHint(a, b, q, r, s, hint *mat.Matrix) (*Solution, error) {
-	return solveCross(a, b, q, r, s, hint)
-}
-
-func solveCross(a, b, q, r, s, hint *mat.Matrix) (*Solution, error) {
+func solveCross(a, b, q, r, s *mat.Matrix) (*Solution, error) {
 	n, m := a.Rows(), b.Cols()
 	if !a.IsSquare() || b.Rows() != n || !q.IsSquare() || q.Rows() != n || !r.IsSquare() || r.Rows() != m {
 		panic("riccati: dimension mismatch")
@@ -96,24 +76,11 @@ func solveCross(a, b, q, r, s, hint *mat.Matrix) (*Solution, error) {
 		qbar = q.Sub(s.Mul(rinvST)).Symmetrize()
 	}
 
-	var p *mat.Matrix
-	solved := false
-	if hint != nil && hint.IsSquare() && hint.Rows() == n {
-		// Warm start: contract from the hint. The budget is short — a
-		// good hint needs few steps, a bad one should fail fast into the
-		// cold path below.
-		if ph, err := fixedPointFrom(hint, abar, b, qbar, r, 500); err == nil {
-			p, solved = ph, true
-		}
-	}
-	if !solved {
-		var err error
-		p, err = sda(abar, b, qbar, r)
+	p, err := sda(abar, b, qbar, r)
+	if err != nil {
+		p, err = fixedPoint(abar, b, qbar, r)
 		if err != nil {
-			p, err = fixedPoint(abar, b, qbar, r)
-			if err != nil {
-				return nil, err
-			}
+			return nil, err
 		}
 	}
 	p = p.Symmetrize()
@@ -220,16 +187,8 @@ func sda(a, b, q, r *mat.Matrix) (*mat.Matrix, error) {
 // slower than SDA (linear rate) but has weaker intermediate invertibility
 // requirements; used as a fallback.
 func fixedPoint(a, b, q, r *mat.Matrix) (*mat.Matrix, error) {
-	return fixedPointFrom(q, a, b, q, r, 20000)
-}
-
-// fixedPointFrom runs the Riccati fixed-point iteration from the given
-// starting matrix with the given iteration budget. fixedPoint is the
-// cold case (start = Q, full budget); warm starts pass the neighboring
-// solution and a short budget. Convergence tolerance and blow-up guards
-// are identical in both cases.
-func fixedPointFrom(p0, a, b, q, r *mat.Matrix, maxIter int) (*mat.Matrix, error) {
-	p := p0.Clone()
+	const maxIter = 20000
+	p := q.Clone()
 	bt := b.T()
 	at := a.T()
 	n, m := a.Rows(), b.Cols()

@@ -187,77 +187,3 @@ func BenchmarkSolveDARE4(b *testing.B) {
 		}
 	}
 }
-
-func TestSolveHintMatchesCold(t *testing.T) {
-	// Solve a DARE cold, perturb the problem slightly (the neighboring-
-	// period situation of the warm-started codesign search), and solve
-	// the perturbed problem both cold and hinted: the hinted solution
-	// must satisfy the same residual tolerance and agree with the cold
-	// one far beyond it.
-	a := mat.FromRows([][]float64{{0.95, 0.15}, {-0.08, 0.82}})
-	b := mat.FromRows([][]float64{{1}, {0.4}})
-	q := mat.Identity(2)
-	r := mat.Identity(1)
-	base, err := Solve(a, b, q, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2 := a.Scale(1.02) // nearby problem
-	cold, err := Solve(a2, b, q, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := SolveHint(a2, b, q, r, base.P)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := Residual(a2, b, q, r, nil, warm.P); res > 1e-9*(1+warm.P.MaxAbs()) {
-		t.Fatalf("hinted residual %g too large", res)
-	}
-	if !cold.P.EqualApprox(warm.P, 1e-8*(1+cold.P.MaxAbs())) {
-		t.Fatal("hinted P deviates from cold P")
-	}
-	if !cold.K.EqualApprox(warm.K, 1e-8*(1+cold.K.MaxAbs())) {
-		t.Fatal("hinted K deviates from cold K")
-	}
-}
-
-func TestSolveHintNilIsCold(t *testing.T) {
-	// A nil hint must reproduce the cold path bit for bit.
-	a := mat.FromRows([][]float64{{0.9, 0.2}, {-0.1, 0.7}})
-	b := mat.FromRows([][]float64{{1}, {0.5}})
-	q := mat.Identity(2)
-	r := mat.Identity(1)
-	cold, err := Solve(a, b, q, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hinted, err := SolveHint(a, b, q, r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.MaxAbsDiff(cold.P, hinted.P) != 0 || mat.MaxAbsDiff(cold.K, hinted.K) != 0 {
-		t.Fatal("nil hint not bit-identical to Solve")
-	}
-}
-
-func TestSolveHintUselessHintFallsBack(t *testing.T) {
-	// A garbage hint (wrong scale, indefinite) must not break the solve:
-	// the cold path is the fallback.
-	a := mat.FromRows([][]float64{{0.9, 0.2}, {-0.1, 0.7}})
-	b := mat.FromRows([][]float64{{1}, {0.5}})
-	q := mat.Identity(2)
-	r := mat.Identity(1)
-	junk := mat.FromRows([][]float64{{-1e12, 3e11}, {3e11, -7e12}})
-	cold, err := Solve(a, b, q, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := SolveHint(a, b, q, r, junk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cold.P.EqualApprox(warm.P, 1e-8*(1+cold.P.MaxAbs())) {
-		t.Fatal("junk-hinted P deviates from cold P")
-	}
-}

@@ -10,7 +10,6 @@ import (
 
 	"ctrlsched/internal/campaign"
 	"ctrlsched/internal/experiments"
-	"ctrlsched/internal/jobs"
 )
 
 // kindAnalyzeBatch is the request kind of the batched analyze endpoint.
@@ -143,53 +142,23 @@ type batchOutcome struct {
 // never computed, and since only complete item results are ever cached,
 // an aborted batch leaves no partial state behind.
 func (s *Service) AnalyzeBatch(ctx context.Context, raw []byte, onItem BatchItemFunc) ([]byte, bool, error) {
-	s.requests.Add(1)
-	req, err := decodeStrict[BatchRequest](raw)
-	if err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	norm, err := req.normalize()
-	if err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	keys := make([]cacheKey, len(norm.Items))
-	for i, item := range norm.Items {
-		if keys[i], err = analyzeKey(item); err != nil {
-			s.errs.Add(1)
+	return s.call(ctx, batchKind, raw, sink{item: onItem})
+}
+
+// runBatch computes one batch: every item is served as an analyze
+// request, and out.item receives them in item order while the pool
+// keeps computing ahead.
+func (s *Service) runBatch(ctx context.Context, norm []AnalyzeRequest, out sink) (experiments.Result, bool, error) {
+	n := len(norm)
+	items := make([]request, n)
+	for i, item := range norm {
+		canonical, err := canonicalBytes(item)
+		if err != nil {
 			return nil, false, err
 		}
+		items[i] = s.analyzeItem(item, canonical)
+		items[i].kind = analyzeKind
 	}
-
-	// The batch as a whole is content-addressed too, so the durable
-	// store can serve a repeated batch after a restart without touching
-	// the pool. The read-through is skipped when the caller wants
-	// per-item framing (the streaming path): stored bytes hold only the
-	// final envelope, not the item sequence.
-	canonical, err := canonicalBytes(norm)
-	if err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	batchKey := makeKey(kindAnalyzeBatch, canonical)
-	if onItem == nil {
-		if b, ok := s.store.Get(jobs.Key(batchKey)); ok {
-			s.hits.Add(1)
-			return b, true, nil
-		}
-	}
-
-	// One pool slot for the whole batch, exactly like an experiment run.
-	release, err := s.admitPool(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	defer release()
-	s.active.Add(1)
-	defer s.active.Add(-1)
-
-	n := len(norm.Items)
 	outcomes := make([]batchOutcome, n)
 	ready := make([]chan struct{}, n)
 	for i := range ready {
@@ -201,9 +170,7 @@ func (s *Service) AnalyzeBatch(ctx context.Context, raw []byte, onItem BatchItem
 			Workers: s.cfg.Workers,
 			Abort:   ctx.Done(),
 		}, func(i int) struct{} {
-			b, hit, err := s.serveItem(ctx, keys[i], func() (experiments.Result, error) {
-				return s.runAnalyze(norm.Items[i])
-			})
+			b, hit, err := s.serve(ctx, &items[i], sink{})
 			outcomes[i] = batchOutcome{b: b, hit: hit, err: err}
 			close(ready[i])
 			return struct{}{}
@@ -211,61 +178,48 @@ func (s *Service) AnalyzeBatch(ctx context.Context, raw []byte, onItem BatchItem
 		mapDone <- mapErr
 	}()
 
-	// Deliver items in strict item order while the pool keeps computing
-	// ahead; bail out as soon as the request context dies.
-	items := make([]json.RawMessage, n)
+	// Deliver items in strict item order; bail out as soon as the request
+	// context dies.
+	raws := make([]json.RawMessage, n)
 	allHit := true
 	for i := 0; i < n; i++ {
 		select {
 		case <-ready[i]:
 		case <-ctx.Done():
 			<-mapDone // workers observe the abort; no goroutine leaks
-			s.errs.Add(1)
-			return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled during batch: " + ctx.Err().Error()}
+			return nil, false, canceledBatch(ctx.Err())
 		}
-		out := outcomes[i]
-		if onItem != nil {
-			onItem(i, out.b, out.hit, out.err)
+		o := outcomes[i]
+		if out.item != nil {
+			out.item(i, o.b, o.hit, o.err)
 		}
 		switch {
-		case out.err != nil:
+		case o.err != nil:
 			allHit = false
 			// Deterministic in-band error envelope: an item failure (an
 			// unstabilizable plant constraint, say) must not fail its
 			// siblings, and identical batches must keep returning
 			// identical bytes.
-			env, err := json.Marshal(batchItemError{Error: out.err.Error()})
+			env, err := json.Marshal(batchItemError{Error: o.err.Error()})
 			if err != nil {
 				<-mapDone
 				return nil, false, err
 			}
-			items[i] = env
+			raws[i] = env
 		default:
-			if !out.hit {
-				allHit = false
-			}
-			items[i] = json.RawMessage(bytes.TrimRight(out.b, "\n"))
+			allHit = allHit && o.hit
+			raws[i] = json.RawMessage(bytes.TrimRight(o.b, "\n"))
 		}
 	}
 	if mapErr := <-mapDone; mapErr != nil {
-		s.errs.Add(1)
-		return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled during batch: " + mapErr.Error()}
+		return nil, false, canceledBatch(mapErr)
 	}
-	if err := ctx.Err(); err != nil {
-		s.errs.Add(1)
-		return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled during batch: " + err.Error()}
-	}
-
-	res := BatchResult{
+	return BatchResult{
 		Meta:  experiments.Meta{Kind: kindAnalyzeBatch, Schema: experiments.SchemaVersion, Items: n},
-		Items: items,
-	}
-	var buf bytes.Buffer
-	if err := experiments.EncodeJSON(&buf, res); err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	b := buf.Bytes()
-	_ = s.store.Put(jobs.Key(batchKey), kindAnalyzeBatch, b)
-	return b, allHit, nil
+		Items: raws,
+	}, allHit, nil
+}
+
+func canceledBatch(err error) *Error {
+	return &Error{Status: http.StatusServiceUnavailable, Msg: "canceled during batch: " + err.Error()}
 }

@@ -83,17 +83,27 @@ func newLRUCache(max int, maxBytes int64) *lruCache {
 	return &lruCache{max: max, maxBytes: maxBytes, order: list.New(), items: make(map[cacheKey]*list.Element)}
 }
 
-func (c *lruCache) get(k cacheKey) ([]byte, bool) {
+// get looks k up, counting a hit or a miss.
+func (c *lruCache) get(k cacheKey) ([]byte, bool) { return c.lookup(k, true) }
+
+// recheck looks k up again after a wait; the first lookup already
+// counted its miss, so only a hit is counted.
+func (c *lruCache) recheck(k cacheKey) ([]byte, bool) { return c.lookup(k, false) }
+
+func (c *lruCache) lookup(k cacheKey, countMiss bool) ([]byte, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	var val []byte
 	el, ok := c.items[k]
-	if !ok {
+	switch {
+	case ok:
+		c.hits++
+		c.order.MoveToFront(el)
+		val = el.Value.(*lruEntry).val
+	case countMiss:
 		c.misses++
-		return nil, false
 	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
+	c.mu.Unlock()
+	return val, ok
 }
 
 func (c *lruCache) put(k cacheKey, v []byte) {

@@ -53,11 +53,6 @@ type CodesignRequest struct {
 	Refine    int                `json:"refine,omitempty"`
 	Horizon   float64            `json:"horizon,omitempty"`
 	Seed      int64              `json:"seed,omitempty"`
-	// WarmStart seeds each candidate synthesis from the neighboring
-	// period's converged solution (codesign.Options.WarmStart). Faster,
-	// same selected designs to solver tolerance, but responses are no
-	// longer guaranteed bit-identical to the cold (default) search.
-	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // normalize validates the request and fills defaults, returning the
@@ -319,27 +314,7 @@ func codesignAssign(method string) codesign.AssignFunc {
 // and cache hits. progress, when non-nil, receives one event per
 // candidate evaluation.
 func (s *Service) Codesign(ctx context.Context, raw []byte, progress experiments.ProgressFunc) ([]byte, bool, error) {
-	req, err := decodeStrict[CodesignRequest](raw)
-	if err != nil {
-		s.requests.Add(1)
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	norm, err := req.normalize()
-	if err != nil {
-		s.requests.Add(1)
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	canonical, err := canonicalBytes(norm)
-	if err != nil {
-		s.requests.Add(1)
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	return s.serve(ctx, kindCodesign, makeKey(kindCodesign, canonical), progress, func(p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error) {
-		return s.runCodesign(norm, p, abort)
-	})
+	return s.call(ctx, codesignKind, raw, sink{progress: progress})
 }
 
 // runCodesign translates a normalized request into engine inputs, runs
@@ -367,21 +342,17 @@ func (s *Service) runCodesign(req CodesignRequest, progress experiments.Progress
 		}
 	}
 	res, err := codesign.Run(base, loops, codesign.Options{
-		Assign:    codesignAssign(req.Method),
-		MaxIters:  req.MaxIters,
-		Refine:    req.Refine,
-		Horizon:   req.Horizon,
-		Seed:      req.Seed,
-		WarmStart: req.WarmStart,
-		Workers:   s.cfg.Workers,
-		Progress:  progress,
-		Abort:     abort,
+		Assign:   codesignAssign(req.Method),
+		MaxIters: req.MaxIters,
+		Refine:   req.Refine,
+		Horizon:  req.Horizon,
+		Seed:     req.Seed,
+		Workers:  s.cfg.Workers,
+		Progress: progress,
+		Abort:    abort,
 	})
 	if err != nil {
-		// Classified here rather than at the generic execute exit so the
-		// message carries the route ("codesign") even through coalesced
-		// flights; the taxonomy is the shared classifyError one.
-		return nil, classifyError(kindCodesign, err)
+		return nil, err
 	}
 
 	out := CodesignResult{

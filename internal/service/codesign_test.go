@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -448,71 +447,6 @@ func TestCodesignEngineInputErrorIs400(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no design") {
 		t.Fatalf("unexpected error shape: %v", err)
-	}
-}
-
-// TestCodesignWarmStartHammer mixes concurrent cold, refined, and
-// warm-started codesign requests on one service under the race detector:
-// the warm path's workspace pools and the sweep-curve memo must be
-// race-free, warm responses must be deterministic, and warm selection
-// must match cold selection.
-func TestCodesignWarmStartHammer(t *testing.T) {
-	s := New(Config{Workers: 2, MaxConcurrent: 4, CacheEntries: 32})
-	small := strings.Replace(codesignBody, `"horizon": 0.5`, `"horizon": 0.05`, 1)
-	warm := strings.Replace(small, `"seed": 42`, `"seed": 42, "warm_start": true`, 1)
-	refined := strings.Replace(small, `"seed": 42`, `"seed": 42, "refine": 1`, 1)
-	warmRefined := strings.Replace(small, `"seed": 42`, `"seed": 42, "refine": 1, "warm_start": true`, 1)
-
-	coldRef, _ := mustCodesign(t, New(Config{Workers: 2}), small)
-	warmRef, _ := mustCodesign(t, New(Config{Workers: 2}), warm)
-
-	var sel struct {
-		Periods    []float64 `json:"periods"`
-		Priorities []int     `json:"priorities"`
-	}
-	var selWarm struct {
-		Periods    []float64 `json:"periods"`
-		Priorities []int     `json:"priorities"`
-	}
-	if err := json.Unmarshal(coldRef, &sel); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(warmRef, &selWarm); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel, selWarm) {
-		t.Fatalf("warm start changed the selection: cold %+v, warm %+v", sel, selWarm)
-	}
-
-	bodies := []string{small, warm, refined, warmRefined}
-	var wg sync.WaitGroup
-	errs := make(chan error, 32)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for rep := 0; rep < 2; rep++ {
-				body := bodies[(g+rep)%len(bodies)]
-				b, _, err := s.Codesign(context.Background(), []byte(body), nil)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if body == warm && !bytes.Equal(b, warmRef) {
-					errs <- fmt.Errorf("goroutine %d: warm codesign bytes diverged", g)
-					return
-				}
-				if body == small && !bytes.Equal(b, coldRef) {
-					errs <- fmt.Errorf("goroutine %d: cold codesign bytes diverged", g)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
 	}
 }
 

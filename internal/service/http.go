@@ -18,7 +18,6 @@ import (
 	"syscall"
 	"time"
 
-	"ctrlsched/internal/experiments"
 	"ctrlsched/internal/jobs"
 	"ctrlsched/internal/kmemo"
 )
@@ -69,9 +68,12 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/readyz", s.handleReady)
 	mux.HandleFunc("/v1/experiments/", s.handleExperiment)
-	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("/v1/analyze/batch", s.handleAnalyzeBatch)
-	mux.HandleFunc("/v1/codesign", s.handleCodesign)
+	for _, k := range kindTable {
+		if k.route != "" {
+			k := k
+			mux.HandleFunc(k.route, func(w http.ResponseWriter, r *http.Request) { s.handleCompute(w, r, k) })
+		}
+	}
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
 	// Unknown routes get the same envelope as every other failure, not
@@ -231,127 +233,49 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, methodNotAllowed(http.MethodPost))
-		return
-	}
-	body, err := readBody(w, r, maxBodyBytes)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	b, hit, err := s.Analyze(r.Context(), body)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResult(w, b, hit)
-}
-
-func (s *Service) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, methodNotAllowed(http.MethodPost))
-		return
-	}
-	body, err := readBody(w, r, maxBatchBodyBytes)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if v := r.URL.Query().Get("stream"); v == "1" || v == "true" {
-		s.streamAnalyzeBatch(w, r, body)
-		return
-	}
-	b, hit, err := s.AnalyzeBatch(r.Context(), body, nil)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResult(w, b, hit)
-}
-
-// streamAnalyzeBatch serves one batch as chunked typed event lines,
-// one item per line in item order, then the batch terminator:
-//
-//	{"type":"item","index":0,"status":"miss","result":{...}}
-//	{"type":"item","index":1,"status":"hit","result":{...}}
-//	{"type":"item","index":2,"error":{"code":"bad_request","message":"..."}}
-//	...
-//	{"type":"result","done":64}
-//
-// Item cache status travels in-band like the experiment stream's cache
-// line: headers freeze before any item's status is known. A batch-level
-// failure after streaming began arrives as a final {"type":"error",...}
-// line (clients must treat it as failure; items already on the wire
-// remain valid individual results).
-func (s *Service) streamAnalyzeBatch(w http.ResponseWriter, r *http.Request, body []byte) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		// No chunked transfer on this connection: degrade to the plain
-		// buffered response rather than failing the request.
-		b, hit, err := s.AnalyzeBatch(r.Context(), body, nil)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeResult(w, b, hit)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Accel-Buffering", "no")
-
-	started := false
-	count := 0
-	onItem := func(index int, data []byte, hit bool, err error) {
-		started = true
-		count++
-		if err != nil {
-			writeEvent(w, jobs.ItemErrorEvent(index, *errorInfo(err)))
-		} else {
-			writeEvent(w, jobs.ItemEvent(index, json.RawMessage(bytes.TrimRight(data, "\n")), hit))
-		}
-		flusher.Flush()
-	}
-	_, _, err := s.AnalyzeBatch(r.Context(), body, onItem)
-	if err != nil {
-		if !started {
-			writeError(w, err)
-			return
-		}
-		writeEvent(w, jobs.ErrorEvent(*errorInfo(err)))
-		flusher.Flush()
-		return
-	}
-	writeEvent(w, jobs.BatchDoneEvent(count))
-	flusher.Flush()
-}
-
+// handleExperiment resolves /v1/experiments/{kind} to its kind-table
+// row; an unknown kind is answered (and counted) as a 404.
 func (s *Service) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	kind := strings.TrimPrefix(r.URL.Path, "/v1/experiments/")
-	if kind == "" || strings.Contains(kind, "/") {
+	name := strings.TrimPrefix(r.URL.Path, "/v1/experiments/")
+	if name == "" || strings.Contains(name, "/") {
 		writeError(w, &Error{Status: http.StatusNotFound, Msg: "use /v1/experiments/{kind}"})
 		return
 	}
+	s.handleCompute(w, r, experimentByName(name))
+}
+
+// handleCompute serves every compute route: POST only, the route's body
+// limit, then the buffered response — or, where the route accepts
+// ?stream=1 and the connection can stream, chunked event lines.
+func (s *Service) handleCompute(w http.ResponseWriter, r *http.Request, k *kind) {
 	if r.Method != http.MethodPost {
 		writeError(w, methodNotAllowed(http.MethodPost))
 		return
 	}
-	body, err := readBody(w, r, maxBodyBytes)
+	body, err := readBody(w, r, k.maxBody)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if v := r.URL.Query().Get("stream"); v == "1" || v == "true" {
-		s.streamExperiment(w, r, kind, body)
+	req, err := k.prepare(s, body)
+	if flusher, ok := w.(http.Flusher); ok && err == nil && k.stream && wantsStream(r) {
+		s.writeStream(r.Context(), w, flusher, &req)
 		return
 	}
-	b, hit, err := s.Experiment(r.Context(), kind, body, nil)
+	// No ?stream=1, or a connection that cannot stream: the plain
+	// buffered response.
+	b, hit, err := s.run(r.Context(), &req, err, sink{})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	writeResult(w, b, hit)
+}
+
+// wantsStream reports whether r asks for a chunked ?stream=1 response.
+func wantsStream(r *http.Request) bool {
+	v := r.URL.Query().Get("stream")
+	return v == "1" || v == "true"
 }
 
 func writeResult(w http.ResponseWriter, b []byte, hit bool) {
@@ -364,98 +288,54 @@ func writeResult(w http.ResponseWriter, b []byte, hit bool) {
 	_, _ = w.Write(b)
 }
 
-// streamExperiment serves one experiment as chunked JSON lines with
-// progress throttled to ~1% granularity (campaigns deliver far more
-// events than a client can use).
-func (s *Service) streamExperiment(w http.ResponseWriter, r *http.Request, kind string, body []byte) {
-	s.streamRun(w, true, func(progress experiments.ProgressFunc) ([]byte, bool, error) {
-		return s.Experiment(r.Context(), kind, body, progress)
-	})
-}
-
-// streamRun serves one pool-scheduled request as chunked typed event
-// lines (the same schema the jobs stream replays — see jobs.Event):
+// writeStream serves one request as chunked typed event lines, the
+// schema job streams replay (see jobs.Event):
 //
 //	{"type":"progress","done":128,"total":50000}
 //	...
 //	{"type":"cache","status":"miss"}
 //	{"type":"result","result":{...}}
 //
-// The cache line replaces the plain endpoint's X-Cache header: a
-// coalesced joiner receives the leader's progress lines before its own
-// cache status is known, and by then response headers are frozen on
-// the wire. With throttle set, progress events collapse to ~1%
-// granularity; without it every event becomes a line (the codesign
-// endpoint's per-candidate progress). Errors discovered after streaming
-// began arrive as a final {"type":"error",...} line (the 200 status is
-// already on the wire — clients must treat an error line as failure). A
-// connection that cannot stream degrades to the plain buffered
-// response.
-func (s *Service) streamRun(w http.ResponseWriter, throttle bool, call func(progress experiments.ProgressFunc) ([]byte, bool, error)) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		b, hit, err := call(nil)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeResult(w, b, hit)
-		return
-	}
+// or, on a batch, one line per item in item order and the terminator:
+//
+//	{"type":"item","index":0,"status":"miss","result":{...}}
+//	{"type":"item","index":2,"error":{"code":"bad_request","message":"..."}}
+//	{"type":"result","done":64}
+//
+// Cache status travels in-band: a coalesced joiner receives the
+// leader's progress lines before its own cache status is known, and by
+// then response headers are frozen on the wire. Errors discovered after
+// streaming began arrive as a final {"type":"error",...} line (the 200
+// status is already on the wire — clients must treat an error line as
+// failure; batch items already sent remain valid results).
+func (s *Service) writeStream(ctx context.Context, w http.ResponseWriter, flusher http.Flusher, req *request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Accel-Buffering", "no")
 
 	var mu sync.Mutex
 	started := false
-	progress := progressEmitter(func(ev jobs.Event) {
+	b, hit, err := s.run(ctx, req, nil, eventSink(req, func(ev jobs.Event) {
 		mu.Lock()
 		defer mu.Unlock()
 		started = true
 		writeEvent(w, ev)
 		flusher.Flush()
-	}, throttle)
-
-	b, hit, err := call(progress)
+	}))
 	mu.Lock()
 	defer mu.Unlock()
-	if err != nil {
-		if !started {
-			writeError(w, err)
-			return
-		}
+	switch {
+	case req.items > 0 && err == nil:
+		writeEvent(w, jobs.BatchDoneEvent(req.items))
+	case err == nil:
+		writeEvent(w, jobs.CacheEvent(hit))
+		writeEvent(w, jobs.ResultEvent(json.RawMessage(bytes.TrimRight(b, "\n"))))
+	case !started:
+		writeError(w, err)
+		return
+	default:
 		writeEvent(w, jobs.ErrorEvent(*errorInfo(err)))
-		flusher.Flush()
-		return
 	}
-	writeEvent(w, jobs.CacheEvent(hit))
-	writeEvent(w, jobs.ResultEvent(json.RawMessage(bytes.TrimRight(b, "\n"))))
 	flusher.Flush()
-}
-
-// handleCodesign serves POST /v1/codesign; ?stream=1 emits one progress
-// line per completed candidate evaluation.
-func (s *Service) handleCodesign(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, methodNotAllowed(http.MethodPost))
-		return
-	}
-	body, err := readBody(w, r, maxBodyBytes)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if v := r.URL.Query().Get("stream"); v == "1" || v == "true" {
-		s.streamRun(w, false, func(progress experiments.ProgressFunc) ([]byte, bool, error) {
-			return s.Codesign(r.Context(), body, progress)
-		})
-		return
-	}
-	b, hit, err := s.Codesign(r.Context(), body, nil)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResult(w, b, hit)
 }
 
 // NewServer wires the service onto an *http.Server whose per-request

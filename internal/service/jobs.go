@@ -1,17 +1,13 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
 
-	"ctrlsched/internal/experiments"
 	"ctrlsched/internal/jobs"
 )
 
@@ -33,13 +29,6 @@ type SubmitRequest struct {
 	// Request is the same body the synchronous endpoint takes; empty
 	// means all defaults where the endpoint allows it.
 	Request json.RawMessage `json:"request,omitempty"`
-}
-
-// JobKinds lists every kind a job can run, sorted.
-func JobKinds() []string {
-	out := append([]string{kindAnalyze, kindAnalyzeBatch, kindCodesign}, Kinds()...)
-	sort.Strings(out)
-	return out
 }
 
 // SubmitJob validates, canonicalizes, and submits one async job. The
@@ -65,137 +54,36 @@ func (s *Service) Job(id string) (*jobs.Job, bool) { return s.jobsEng.Get(id) }
 // aborts the underlying campaign.
 func (s *Service) CancelJob(id string) (*jobs.Job, bool) { return s.jobsEng.Cancel(id) }
 
-// prepareJob maps one (kind, request) pair to its canonical store key
-// and the runner that computes it. Admission-time validation runs
-// here; the runner only ever sees a normalized request.
+// prepareJob looks kind up in the kind table and prepares raw for it:
+// the canonical store key and the runner that serves it. Admission-time
+// validation runs here; the runner only ever sees the prepared request.
 func (s *Service) prepareJob(kind string, raw []byte) (cacheKey, jobs.Runner, error) {
-	switch kind {
-	case kindAnalyze:
-		req, err := decodeStrict[AnalyzeRequest](raw)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		norm, err := req.normalize()
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		key, err := analyzeKey(norm)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		runner := func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, *jobs.ErrorInfo) {
-			b, hit, err := s.serveItem(ctx, key, func() (experiments.Result, error) {
-				return s.runAnalyze(norm)
-			})
-			if err != nil {
-				return nil, false, errorInfo(err)
-			}
-			return b, hit, nil
-		}
-		return key, runner, nil
-
-	case kindAnalyzeBatch:
-		req, err := decodeStrict[BatchRequest](raw)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		norm, err := req.normalize()
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		canonical, err := canonicalBytes(norm)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		key := makeKey(kindAnalyzeBatch, canonical)
-		runner := func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, *jobs.ErrorInfo) {
-			count := 0
-			onItem := func(index int, data []byte, hit bool, err error) {
-				count++
-				if err != nil {
-					emit(jobs.ItemErrorEvent(index, *errorInfo(err)))
-					return
-				}
-				emit(jobs.ItemEvent(index, json.RawMessage(bytes.TrimRight(data, "\n")), hit))
-			}
-			b, hit, err := s.AnalyzeBatch(ctx, raw, onItem)
-			if err != nil {
-				return nil, false, errorInfo(err)
-			}
-			emit(jobs.BatchDoneEvent(count))
-			return b, hit, nil
-		}
-		return key, runner, nil
-
-	case kindCodesign:
-		req, err := decodeStrict[CodesignRequest](raw)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		norm, err := req.normalize()
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		canonical, err := canonicalBytes(norm)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		key := makeKey(kindCodesign, canonical)
-		runner := func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, *jobs.ErrorInfo) {
-			// Codesign progress is per candidate evaluation, unthrottled,
-			// matching the synchronous stream.
-			b, hit, err := s.Codesign(ctx, raw, progressEmitter(emit, false))
-			if err != nil {
-				return nil, false, errorInfo(err)
-			}
-			return b, hit, nil
-		}
-		return key, runner, nil
-
-	default:
-		spec, ok := experimentKinds[kind]
-		if !ok {
-			return cacheKey{}, nil, badRequest("unknown job kind %q (have: %s)", kind, strings.Join(JobKinds(), " "))
-		}
-		canonical, run, err := spec.prepare(s, raw)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		key := makeKey(kind, canonical)
-		runner := func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, *jobs.ErrorInfo) {
-			// Experiment campaigns deliver far more progress events than a
-			// client can use; ~1% granularity, like the synchronous stream.
-			b, hit, err := s.serve(ctx, kind, key, progressEmitter(emit, true), run)
-			if err != nil {
-				return nil, false, errorInfo(err)
-			}
-			return b, hit, nil
-		}
-		return key, runner, nil
+	k, ok := kindTable[kind]
+	if !ok {
+		return cacheKey{}, nil, badRequest("unknown job kind %q (have: %s)", kind, strings.Join(JobKinds(), " "))
 	}
+	req, err := k.prepare(s, raw)
+	if err != nil {
+		return cacheKey{}, nil, err
+	}
+	return req.key, func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, *jobs.ErrorInfo) {
+		return s.runJob(ctx, req, emit)
+	}, nil
 }
 
-// progressEmitter adapts a job's event sink to a campaign ProgressFunc,
-// optionally throttled to ~1% granularity.
-func progressEmitter(emit func(jobs.Event), throttle bool) experiments.ProgressFunc {
-	if !throttle {
-		return func(done, total int) { emit(jobs.ProgressEvent(done, total)) }
+// runJob is a job's runner: the prepared request served into the job's
+// event log.
+func (s *Service) runJob(ctx context.Context, req request, emit func(jobs.Event)) ([]byte, bool, *jobs.ErrorInfo) {
+	b, hit, err := s.run(ctx, &req, nil, eventSink(&req, emit))
+	if err != nil {
+		return nil, false, errorInfo(err)
 	}
-	var mu sync.Mutex
-	lastPct := -1
-	return func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		pct := -1
-		if total > 0 {
-			pct = done * 100 / total
-		}
-		if pct == lastPct && done != total {
-			return
-		}
-		lastPct = pct
-		emit(jobs.ProgressEvent(done, total))
+	if req.items > 0 {
+		// A batch ends its own event log; the engine appends the cache and
+		// result events of every other kind.
+		emit(jobs.BatchDoneEvent(req.items))
 	}
+	return b, hit, nil
 }
 
 // handleJobs serves POST /v1/jobs: validate, submit, 202 + status.
@@ -252,7 +140,7 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 			writeError(w, jobNotFound(id))
 			return
 		}
-		if v := r.URL.Query().Get("stream"); v == "1" || v == "true" {
+		if wantsStream(r) {
 			s.streamJob(w, r, j)
 			return
 		}

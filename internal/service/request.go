@@ -54,136 +54,6 @@ func canonicalBytes(v any) ([]byte, error) {
 	return b, nil
 }
 
-// runFunc executes one prepared request on the caller's goroutine.
-// abort, when non-nil and closed, stops the underlying campaign early;
-// the service then discards the partial result (it is never cached).
-type runFunc func(progress experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error)
-
-// kindSpec canonicalizes and prepares one experiment kind. prepare
-// returns the canonical config bytes (the cache identity) and a closure
-// that runs the experiment on the service's shared pool settings.
-type kindSpec struct {
-	prepare func(s *Service, raw []byte) ([]byte, runFunc, error)
-}
-
-// prepareKind is the shared decode → normalize → validate → canonicalize
-// sequence every experiment kind goes through; only the config type, the
-// validation, and the run step differ per kind.
-func prepareKind[T any](
-	normalize func(T) T,
-	validate func(s *Service, norm T) error,
-	run func(s *Service, norm T, p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error),
-) kindSpec {
-	return kindSpec{prepare: func(s *Service, raw []byte) ([]byte, runFunc, error) {
-		cfg, err := decodeStrict[T](raw)
-		if err != nil {
-			return nil, nil, err
-		}
-		norm := normalize(cfg)
-		if err := validate(s, norm); err != nil {
-			return nil, nil, err
-		}
-		canonical, err := canonicalBytes(norm)
-		if err != nil {
-			return nil, nil, err
-		}
-		return canonical, func(p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error) {
-			return run(s, norm, p, abort)
-		}, nil
-	}}
-}
-
-// experimentKinds routes POST /v1/experiments/{kind}.
-var experimentKinds = map[string]kindSpec{
-	experiments.KindTable1: prepareKind(
-		experiments.Table1Config.Normalized,
-		func(s *Service, n experiments.Table1Config) error {
-			return s.checkCampaign(n.Benchmarks, n.Sizes, 1, n.GenSpec)
-		},
-		func(s *Service, c experiments.Table1Config, p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error) {
-			c.Gen, c.Workers, c.Progress, c.Abort = s.generator(c.GenSpec), s.cfg.Workers, p, abort
-			return experiments.Table1(c), nil
-		}),
-	experiments.KindAnomalies: prepareKind(
-		experiments.AnomalyConfig.Normalized,
-		func(s *Service, n experiments.AnomalyConfig) error {
-			return s.checkCampaign(n.Trials, n.Sizes, 1, n.GenSpec)
-		},
-		func(s *Service, c experiments.AnomalyConfig, p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error) {
-			c.Gen, c.Workers, c.Progress, c.Abort = s.generator(c.GenSpec), s.cfg.Workers, p, abort
-			return experiments.Anomalies(c), nil
-		}),
-	experiments.KindCompare: prepareKind(
-		experiments.CompareConfig.Normalized,
-		func(s *Service, n experiments.CompareConfig) error {
-			return s.checkCampaign(n.Benchmarks, n.Sizes, 1, n.GenSpec)
-		},
-		func(s *Service, c experiments.CompareConfig, p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error) {
-			c.Gen, c.Workers, c.Progress, c.Abort = s.generator(c.GenSpec), s.cfg.Workers, p, abort
-			return experiments.Compare(c), nil
-		}),
-	experiments.KindFig5: prepareKind(
-		experiments.Fig5Config.Normalized,
-		func(s *Service, n experiments.Fig5Config) error {
-			// Three passes per benchmark: suite generation plus two timed runs.
-			return s.checkCampaign(n.Benchmarks, n.Sizes, 3, n.GenSpec)
-		},
-		func(s *Service, c experiments.Fig5Config, p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error) {
-			c.Gen, c.Workers, c.Progress, c.Abort = s.generator(c.GenSpec), s.cfg.Workers, p, abort
-			r := experiments.Fig5(c)
-			// The wall-clock columns are the one non-deterministic part of
-			// any experiment; the service's byte-identical-response promise
-			// requires serving only the deterministic counts.
-			r.StripTimings()
-			return &r, nil
-		}),
-	experiments.KindFig2: prepareKind(
-		experiments.Fig2RunConfig.Normalized,
-		func(s *Service, n experiments.Fig2RunConfig) error {
-			if n.Points < 2 {
-				return badRequest("fig2: points %d below the 2-point minimum", n.Points)
-			}
-			// Division avoids the overflow a 2*Points product could hit.
-			if n.Points > s.cfg.MaxItems/2 {
-				return badRequest("fig2: %d grid points exceed the service limit of %d items", n.Points, s.cfg.MaxItems)
-			}
-			return nil
-		},
-		func(s *Service, c experiments.Fig2RunConfig, p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error) {
-			c.Workers, c.Progress, c.Abort = s.cfg.Workers, p, abort
-			return experiments.Fig2Run(c), nil
-		}),
-	experiments.KindFig4: prepareKind(
-		experiments.Fig4Config.Normalized,
-		func(s *Service, n experiments.Fig4Config) error {
-			if len(n.Periods) > 32 {
-				return badRequest("fig4: %d periods exceed the 32-curve limit", len(n.Periods))
-			}
-			for _, h := range n.Periods {
-				if !(h > 0 && h <= 10) {
-					return badRequest("fig4: period %v outside (0, 10] seconds", h)
-				}
-			}
-			if n.LatencyPoints < 2 || n.LatencyPoints > 2000 {
-				return badRequest("fig4: latency_points %d outside [2, 2000]", n.LatencyPoints)
-			}
-			return nil
-		},
-		func(s *Service, c experiments.Fig4Config, _ experiments.ProgressFunc, _ <-chan struct{}) (experiments.Result, error) {
-			return experiments.Fig4Run(c)
-		}),
-}
-
-// Kinds lists the experiment kinds the service routes, sorted.
-func Kinds() []string {
-	out := make([]string, 0, len(experimentKinds))
-	for k := range experimentKinds {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // checkCampaign bounds one Monte-Carlo request: positive per-size item
 // count, task-set sizes the assignment engine can represent, a sane
 // generator spec, and a total item count within the service limit.

@@ -1,11 +1,12 @@
 // Package service is the analysis layer between the experiment engine
 // and its consumers (the ctrlschedd HTTP daemon, the `ctrlsched serve`
-// subcommand, and any future RPC surface). It canonicalizes an analysis
-// request — an experiment kind plus configuration, or a single task-set
-// query routed through rta/jitter/lqg/assign — derives a deterministic
-// cache key from the canonical form, answers from an LRU result cache
-// when possible, and otherwise schedules the work on a shared bounded
-// campaign pool with per-request progress reporting.
+// subcommand, and any future RPC surface). Every request — an
+// experiment kind plus configuration, a task-set or plant analysis, a
+// batch of those, or a co-design search — goes through one pipeline
+// (see pipeline.go): its kind's prepare step canonicalizes it and
+// derives a deterministic cache key, and one serve path answers it from
+// the cache tiers the kind table names for it, or computes it with
+// per-request progress reporting.
 //
 // Because every experiment is deterministic for a fixed (seed, config)
 // and its JSON encoding is canonical (see internal/experiments), the
@@ -16,7 +17,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -321,74 +321,6 @@ type Service struct {
 	requests, hits, misses, errs, active atomic.Int64
 }
 
-// flight is one in-progress computation identical requests coalesce on:
-// the leader fills b/err and closes done; joiners wait on done instead
-// of burning a pool slot recomputing the same deterministic bytes. Every
-// party's progress callback subscribes to the flight, so a streaming
-// joiner keeps receiving progress lines from the leader's campaign.
-type flight struct {
-	done chan struct{}
-	b    []byte
-	err  error
-
-	mu   sync.Mutex
-	subs []*subscriber
-}
-
-// subscriber wraps one party's ProgressFunc so it can be detached from
-// the flight again. A joiner that stops waiting (client disconnect,
-// leader-failure retry) must stop its subscriber before returning: on
-// the HTTP streaming path the callback writes to that request's
-// ResponseWriter, which must never be touched after its handler
-// returns.
-type subscriber struct {
-	mu sync.Mutex
-	fn experiments.ProgressFunc // nil once stopped
-}
-
-func (sub *subscriber) call(done, total int) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	if sub.fn != nil {
-		sub.fn(done, total)
-	}
-}
-
-// stop detaches the callback: once stop returns, the callback is not
-// running and will never be invoked again.
-func (sub *subscriber) stop() {
-	if sub == nil { // subscribe(nil) hands out a nil subscriber
-		return
-	}
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	sub.fn = nil
-}
-
-func (f *flight) subscribe(p experiments.ProgressFunc) *subscriber {
-	if p == nil {
-		return nil
-	}
-	sub := &subscriber{fn: p}
-	f.mu.Lock()
-	f.subs = append(f.subs, sub)
-	f.mu.Unlock()
-	return sub
-}
-
-// notify fans one progress event out to every subscriber; it is the
-// ProgressFunc the leader's campaign actually runs with. Stopped
-// subscribers stay in the list as no-ops — flights are short-lived, so
-// compacting the slice is not worth the bookkeeping.
-func (f *flight) notify(done, total int) {
-	f.mu.Lock()
-	subs := append([]*subscriber(nil), f.subs...)
-	f.mu.Unlock()
-	for _, sub := range subs {
-		sub.call(done, total)
-	}
-}
-
 // New builds a Service with the given configuration. Kernel-cache
 // settings apply process-wide (the cache is shared across services):
 // explicit capacities reconfigure it, zero values leave it untouched,
@@ -530,189 +462,21 @@ func (s *Service) generator(spec experiments.GenSpec) *taskgen.Generator {
 // Experiment answers one experiment request: kind names the experiment
 // (experiments.KindTable1 …) and rawCfg is its JSON configuration (empty
 // means all defaults). It returns the canonical JSON response bytes,
-// whether they came from the cache, and an error carrying an HTTP
-// status on failure. progress, when non-nil, receives per-request
-// campaign progress (cache hits never call it).
+// whether they came from a cache, and an error carrying an HTTP status
+// on failure. progress, when non-nil, receives per-request campaign
+// progress (cache hits never call it).
 func (s *Service) Experiment(ctx context.Context, kind string, rawCfg []byte, progress experiments.ProgressFunc) ([]byte, bool, error) {
-	spec, ok := experimentKinds[kind]
-	if !ok {
-		s.errs.Add(1)
-		return nil, false, &Error{Status: http.StatusNotFound, Msg: fmt.Sprintf("unknown experiment kind %q", kind)}
-	}
-	canonical, run, err := spec.prepare(s, rawCfg)
-	if err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	return s.serve(ctx, kind, makeKey(kind, canonical), progress, run)
+	return s.call(ctx, experimentByName(kind), rawCfg, sink{progress: progress})
 }
 
 // Analyze answers one single-task-set analysis request (see
 // AnalyzeRequest): priority assignment plus exact response-time and
-// stability analysis, or an LQG/jitter-margin plant query.
-//
-// Single-item analyses are lightweight next to experiment campaigns, so
-// they are served on the item path: per-item cache lookup and flight
-// coalescing, but no campaign-pool admission. That keeps their latency
-// flat under pool pressure and — deliberately — means a single analyze
-// and a /v1/analyze/batch item with the same canonical request share one
-// cache key and one flight.
+// stability analysis, or an LQG/jitter-margin plant query. It takes no
+// campaign-pool slot, which keeps its latency flat under pool pressure;
+// a single analyze and a /v1/analyze/batch item with the same canonical
+// request share one cache key and one flight.
 func (s *Service) Analyze(ctx context.Context, raw []byte) ([]byte, bool, error) {
-	s.requests.Add(1)
-	req, err := decodeStrict[AnalyzeRequest](raw)
-	if err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	norm, err := req.normalize()
-	if err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	key, err := analyzeKey(norm)
-	if err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	return s.serveItem(ctx, key, func() (experiments.Result, error) {
-		return s.runAnalyze(norm)
-	})
-}
-
-// analyzeKey derives the cache key of one normalized analyze item; the
-// single and batch endpoints share it, so their results coalesce.
-func analyzeKey(norm AnalyzeRequest) (cacheKey, error) {
-	canonical, err := canonicalBytes(norm)
-	if err != nil {
-		return cacheKey{}, err
-	}
-	return makeKey(kindAnalyze, canonical), nil
-}
-
-// serve is the shared request path: cache lookup, durable-store
-// read-through, coalescing with any identical in-flight request,
-// bounded-pool admission, execution, canonical encoding, cache fill.
-func (s *Service) serve(ctx context.Context, kind string, key cacheKey, progress experiments.ProgressFunc, run runFunc) ([]byte, bool, error) {
-	s.requests.Add(1)
-	for {
-		if b, ok := s.cache.get(key); ok {
-			s.hits.Add(1)
-			return b, true, nil
-		}
-		// Durable-store read-through: a restarted daemon serves prior
-		// results byte-identical without recompute. Verified reads only;
-		// a damaged file quarantines and the request recomputes.
-		if b, ok := s.store.Get(jobs.Key(key)); ok {
-			s.cache.put(key, b)
-			s.hits.Add(1)
-			return b, true, nil
-		}
-		s.flightMu.Lock()
-		if f, ok := s.flights[key]; ok {
-			// An identical request is already computing; wait for its
-			// bytes instead of burning a second pool slot on them. The
-			// joiner's progress keeps flowing from the leader's campaign
-			// until the subscriber is stopped — on every exit from this
-			// wait, or the leader would keep invoking a callback whose
-			// request is over (a use-after-return on the streaming path).
-			sub := f.subscribe(progress)
-			s.flightMu.Unlock()
-			select {
-			case <-f.done:
-				sub.stop()
-				if f.err == nil {
-					s.hits.Add(1)
-					return f.b, true, nil
-				}
-				// The leader failed — possibly just its own client's
-				// cancellation. Start over as an independent request.
-				continue
-			case <-ctx.Done():
-				sub.stop()
-				s.errs.Add(1)
-				return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled while coalesced: " + ctx.Err().Error()}
-			}
-		}
-		f := &flight{done: make(chan struct{})}
-		f.subscribe(progress)
-		s.flights[key] = f
-		s.flightMu.Unlock()
-
-		b, hit, err := s.execute(ctx, kind, key, f.notify, run)
-		f.b, f.err = b, err
-		s.flightMu.Lock()
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		close(f.done)
-		return b, hit, err
-	}
-}
-
-// serveItem is the request path of one analyze item (a single
-// /v1/analyze request, or one slot of a /v1/analyze/batch fan-out):
-// cache lookup, coalescing with any identical in-flight item, direct
-// execution, canonical encoding, cache fill. Unlike serve it performs no
-// pool admission — items are cheap relative to experiment campaigns, and
-// a batch already holds one pool slot for all of its items. Errors are
-// never cached; an aborted batch therefore leaves only complete item
-// results behind.
-func (s *Service) serveItem(ctx context.Context, key cacheKey, run func() (experiments.Result, error)) ([]byte, bool, error) {
-	for {
-		if b, ok := s.cache.get(key); ok {
-			s.hits.Add(1)
-			return b, true, nil
-		}
-		s.flightMu.Lock()
-		if f, ok := s.flights[key]; ok {
-			s.flightMu.Unlock()
-			select {
-			case <-f.done:
-				if f.err == nil {
-					s.hits.Add(1)
-					return f.b, true, nil
-				}
-				// The leader failed; retry as an independent item (its
-				// failure may have been its own client's cancellation).
-				continue
-			case <-ctx.Done():
-				s.errs.Add(1)
-				return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled while coalesced: " + ctx.Err().Error()}
-			}
-		}
-		f := &flight{done: make(chan struct{})}
-		s.flights[key] = f
-		s.flightMu.Unlock()
-
-		b, err := s.executeItem(ctx, key, run)
-		f.b, f.err = b, err
-		s.flightMu.Lock()
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		close(f.done)
-		return b, false, err
-	}
-}
-
-// executeItem runs one item as its flight leader.
-func (s *Service) executeItem(ctx context.Context, key cacheKey, run func() (experiments.Result, error)) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		s.errs.Add(1)
-		return nil, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled before execution: " + err.Error()}
-	}
-	s.misses.Add(1)
-	res, err := run()
-	if err != nil {
-		s.errs.Add(1)
-		return nil, classifyError(kindAnalyze, err)
-	}
-	var buf bytes.Buffer
-	if err := experiments.EncodeJSON(&buf, res); err != nil {
-		s.errs.Add(1)
-		return nil, err
-	}
-	b := buf.Bytes()
-	s.cache.put(key, b)
-	return b, nil
+	return s.call(ctx, analyzeKind, raw, sink{})
 }
 
 // admitPool performs bounded pool admission for one request: FIFO
@@ -724,7 +488,6 @@ func (s *Service) admitPool(ctx context.Context) (release func(), err error) {
 	if err == nil {
 		return release, nil
 	}
-	s.errs.Add(1)
 	var sat *admit.SaturatedError
 	if errors.As(err, &sat) {
 		code := "saturated"
@@ -734,48 +497,4 @@ func (s *Service) admitPool(ctx context.Context) (release func(), err error) {
 		return nil, &Error{Status: http.StatusTooManyRequests, Code: code, Msg: sat.Error(), retryAfter: sat.RetryAfter}
 	}
 	return nil, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled while queued: " + err.Error()}
-}
-
-// execute runs one request as the flight leader: pool admission, the
-// campaign itself, canonical encoding, cache and durable-store fill.
-func (s *Service) execute(ctx context.Context, kind string, key cacheKey, progress experiments.ProgressFunc, run runFunc) ([]byte, bool, error) {
-	release, err := s.admitPool(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	defer release()
-	s.active.Add(1)
-	defer s.active.Add(-1)
-
-	// Double-check after the queue wait: a previous leader may have
-	// filled the cache between this request's lookup and its flight
-	// registration.
-	if b, ok := s.cache.get(key); ok {
-		s.hits.Add(1)
-		return b, true, nil
-	}
-	s.misses.Add(1)
-
-	// The request context doubles as the campaign abort signal: when the
-	// client disconnects mid-run, workers stop instead of burning the
-	// pool slot to completion. An aborted run yields a partial result,
-	// which must never be encoded or cached.
-	res, err := run(progress, ctx.Done())
-	if err != nil {
-		s.errs.Add(1)
-		return nil, false, classifyError(kind, err)
-	}
-	if err := ctx.Err(); err != nil {
-		s.errs.Add(1)
-		return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled during execution: " + err.Error()}
-	}
-	var buf bytes.Buffer
-	if err := experiments.EncodeJSON(&buf, res); err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	b := buf.Bytes()
-	s.cache.put(key, b)
-	_ = s.store.Put(jobs.Key(key), kind, b)
-	return b, false, nil
 }

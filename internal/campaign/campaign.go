@@ -24,6 +24,17 @@
 // the item's own index, so collection order is item order, not
 // completion order.
 //
+// # Item generators
+//
+// An item's stream is exactly math/rand's rand.New(rand.NewSource(
+// itemSeed)), so the published numbers stay those of the stdlib
+// generator, but seeding costs O(1) instead of math/rand's 1,841 LCG
+// steps. A Table I item draws only a few dozen numbers, so seeding a
+// stdlib generator cost more than the item's task-set generation and
+// priority assignment together. NewRand's source computes each register
+// word from a power table on the draw that first reads it, and Map
+// reseeds a pooled generator per item instead of allocating one.
+//
 // Anything shared between workers — notably the taskgen coefficient
 // cache — must be concurrency-safe; the item function itself must not
 // mutate shared state.
@@ -79,27 +90,24 @@ func ItemSeed(seed int64, index int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// ItemRNG returns the private generator of one campaign item.
-func ItemRNG(seed int64, index int) *rand.Rand {
-	return rand.New(rand.NewSource(ItemSeed(seed, index)))
-}
-
 // Map runs fn for every item 0..n-1 on a pool of opt.Workers goroutines
 // and returns the results in item order. fn receives the item index and
-// the item's private deterministic RNG; it must not retain the RNG past
-// the call or touch shared mutable state. The returned error is nil
-// unless the run was aborted (ErrAborted).
+// the item's private deterministic RNG, seeded with ItemSeed(opt.Seed,
+// item); it must not retain the RNG past the call, which hands it to
+// another item, or touch shared mutable state. The returned error is
+// nil unless the run was aborted (ErrAborted).
 func Map[T any](n int, opt Options, fn func(item int, rng *rand.Rand) T) ([]T, error) {
 	return mapItems(n, opt, func(i int) T {
-		return fn(i, ItemRNG(opt.Seed, i))
+		rng := itemRands.Get().(*rand.Rand)
+		defer itemRands.Put(rng)
+		rng.Seed(ItemSeed(opt.Seed, i))
+		return fn(i, rng)
 	})
 }
 
-// MapPlain is Map for item functions that use no randomness — grid
-// sweeps and timed re-evaluation passes. It skips the per-item RNG
-// construction, which matters inside wall-clock-measured phases
-// (Fig. 5) where seeding a fresh generator per item would pollute the
-// published timings.
+// MapPlain is Map for item functions that draw no random numbers —
+// grid sweeps, timed re-evaluation passes and batches of client-given
+// inputs.
 func MapPlain[T any](n int, opt Options, fn func(item int) T) ([]T, error) {
 	return mapItems(n, opt, fn)
 }

@@ -20,8 +20,8 @@ package cosim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
+	"ctrlsched/internal/campaign"
 	"ctrlsched/internal/lqg"
 	"ctrlsched/internal/mat"
 	"ctrlsched/internal/rta"
@@ -149,7 +149,7 @@ func runLoop(lp *Loop, taskIdx int, sres *sim.Result, cfg Config, ws *integWS) L
 	sys := d.Plant.Sys
 	n := sys.Order()
 	ws.ensure(n)
-	rng := rand.New(rand.NewSource(cfg.Seed*1000003 + int64(taskIdx)))
+	rng := campaign.NewRand(cfg.Seed*1000003 + int64(taskIdx))
 
 	// Collect this task's jobs in release order.
 	var jobs []sim.JobRecord

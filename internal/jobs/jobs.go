@@ -80,7 +80,7 @@ type Job struct {
 	result    []byte
 	errInfo   *ErrorInfo
 
-	updated  chan struct{} // closed + replaced on every change
+	updated  chan struct{} // closed on every change; finishCh once terminal
 	finishCh chan struct{} // closed once, on reaching a terminal state
 }
 
@@ -179,8 +179,15 @@ func (j *Job) emit(ev Event) {
 	j.broadcastLocked()
 }
 
+// broadcastLocked wakes the watchers. A terminal job changes no more:
+// it closes finishCh, which stands in for every later watch channel.
 func (j *Job) broadcastLocked() {
 	close(j.updated)
+	if j.state.Terminal() {
+		close(j.finishCh)
+		j.updated = j.finishCh
+		return
+	}
 	j.updated = make(chan struct{})
 }
 
@@ -200,7 +207,6 @@ func (j *Job) finishOK(b []byte, cacheHit bool) {
 		j.events = append(j.events, CacheEvent(cacheHit), ResultEvent(bytes.TrimRight(b, "\n")))
 	}
 	j.broadcastLocked()
-	close(j.finishCh)
 }
 
 // finishErr moves the job to failed — or canceled, when a DELETE (or
@@ -220,7 +226,6 @@ func (j *Job) finishErr(fail *ErrorInfo) {
 	j.finished = time.Now()
 	j.events = append(j.events, ErrorEvent(*fail))
 	j.broadcastLocked()
-	close(j.finishCh)
 }
 
 // interrupt parks a recovered-but-unrunnable job in the typed
@@ -239,7 +244,6 @@ func (j *Job) interrupt() {
 	j.finished = time.Now()
 	j.events = append(j.events, ErrorEvent(*j.errInfo))
 	j.broadcastLocked()
-	close(j.finishCh)
 }
 
 // EngineStats is the /healthz job counters snapshot.
@@ -396,6 +400,7 @@ func (e *Engine) start(j *Job, kind string, key Key, run Runner) {
 		case StateCanceled:
 			e.canceledN++
 		}
+		j.cancel = nil // the context is done; a finished job need not pin it
 		j.mu.Unlock()
 		e.mu.Unlock()
 	}()

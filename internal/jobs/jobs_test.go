@@ -46,6 +46,43 @@ func TestJobDoneFSM(t *testing.T) {
 	}
 }
 
+// TestFinishedJobHoldsNoRunState checks that a job the registry keeps
+// after it finished no longer pins its run context, that its watch
+// channel is its closed finish channel and a watcher sees it terminal,
+// and that canceling it is still a harmless no-op.
+func TestFinishedJobHoldsNoRunState(t *testing.T) {
+	e := NewEngine(nil, 0, nil)
+	j, err := e.Submit("analyze", testKey("released"), nil, immediateRunner([]byte(`{}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Drain(context.Background()) // waits for the runner goroutine
+	j.mu.Lock()
+	pinned := j.cancel != nil
+	j.mu.Unlock()
+	if pinned {
+		t.Fatal("finished job still holds its cancel func")
+	}
+	_, terminal, updated := j.Watch(&WatchState{})
+	if updated != j.Finished() {
+		t.Fatal("finished job keeps a watch channel of its own")
+	}
+	select {
+	case <-updated:
+	default:
+		t.Fatal("finished job handed out an open watch channel")
+	}
+	if !terminal {
+		t.Fatal("finished job not reported terminal to a new watcher")
+	}
+	if got, ok := e.Cancel(j.ID); !ok || got != j {
+		t.Fatalf("Cancel(finished) = %v, %v", got, ok)
+	}
+	if _, state, _, _ := j.Result(); state != StateDone {
+		t.Fatalf("state after Cancel = %v, want done", state)
+	}
+}
+
 func TestJobFailedKeepsClassifiedError(t *testing.T) {
 	e := NewEngine(nil, 0, nil)
 	info := &ErrorInfo{Code: "bad_request", Message: "loop 0: empty grid"}

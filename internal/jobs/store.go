@@ -81,7 +81,7 @@ type StoreStats struct {
 
 type storeEntry struct {
 	size  int64 // whole file: header + body
-	mtime time.Time
+	mtime int64 // Unix nanoseconds
 }
 
 // Store is safe for concurrent use. A nil *Store is a valid disabled
@@ -144,7 +144,7 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 		}
 		var k Key
 		copy(k[:], raw)
-		s.index[k] = storeEntry{size: info.Size(), mtime: info.ModTime()}
+		s.index[k] = storeEntry{size: info.Size(), mtime: info.ModTime().UnixNano()}
 	}
 	s.mu.Lock()
 	s.gcLocked()
@@ -284,7 +284,7 @@ func (s *Store) Put(k Key, kind string, body []byte) error {
 		return err
 	}
 	s.mu.Lock()
-	s.index[k] = storeEntry{size: int64(len(hdr)) + 1 + int64(len(body)), mtime: time.Now()}
+	s.index[k] = storeEntry{size: int64(len(hdr)) + 1 + int64(len(body)), mtime: time.Now().UnixNano()}
 	s.puts++
 	s.gcLocked()
 	s.mu.Unlock()
@@ -304,9 +304,9 @@ func (s *Store) GC() {
 
 func (s *Store) gcLocked() {
 	if s.opt.MaxAge > 0 {
-		cutoff := time.Now().Add(-s.opt.MaxAge)
+		cutoff := time.Now().Add(-s.opt.MaxAge).UnixNano()
 		for k, e := range s.index {
-			if e.mtime.Before(cutoff) {
+			if e.mtime < cutoff {
 				s.evictLocked(k)
 			}
 		}
@@ -327,8 +327,8 @@ func (s *Store) gcLocked() {
 		byAge = append(byAge, aged{k, e})
 	}
 	sort.Slice(byAge, func(i, j int) bool {
-		if !byAge[i].e.mtime.Equal(byAge[j].e.mtime) {
-			return byAge[i].e.mtime.Before(byAge[j].e.mtime)
+		if byAge[i].e.mtime != byAge[j].e.mtime {
+			return byAge[i].e.mtime < byAge[j].e.mtime
 		}
 		return bytes.Compare(byAge[i].k[:], byAge[j].k[:]) < 0
 	})

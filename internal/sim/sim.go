@@ -15,8 +15,8 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"math/rand"
 
+	"ctrlsched/internal/campaign"
 	"ctrlsched/internal/rta"
 )
 
@@ -140,7 +140,7 @@ func Run(tasks []rta.Task, prio []int, cfg Config) (*Result, error) {
 	if cfg.Offsets != nil && len(cfg.Offsets) != n {
 		return nil, fmt.Errorf("sim: offsets length %d != %d tasks", len(cfg.Offsets), n)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := campaign.NewRand(cfg.Seed)
 
 	res := &Result{Stats: make([]TaskStats, n)}
 	for i := range res.Stats {

@@ -13,10 +13,10 @@
 package taskgen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"ctrlsched/internal/jitter"
@@ -120,10 +120,13 @@ func (g *Generator) TaskSet(rng *rand.Rand, n int) []rta.Task {
 	utils := UUniFast(rng, n, u)
 	tasks := make([]rta.Task, n)
 	for i := 0; i < n; i++ {
-		var task rta.Task
+		var (
+			task rta.Task
+			p    *plant.Plant
+		)
 		for attempt := 0; attempt < 12; attempt++ {
 			pIdx := rng.Intn(len(g.cfg.Plants))
-			p := g.cfg.Plants[pIdx]
+			p = g.cfg.Plants[pIdx]
 			gIdx := rng.Intn(g.cfg.GridPoints)
 			h, con := g.cache.get(pIdx, gIdx)
 
@@ -137,7 +140,6 @@ func (g *Generator) TaskSet(rng *rand.Rand, n int) []rta.Task {
 				cb = cw * 1e-3
 			}
 			task = rta.Task{
-				Name:   fmt.Sprintf("%s#%d", p.Name, i),
 				BCET:   cb,
 				WCET:   cw,
 				Period: h,
@@ -148,6 +150,7 @@ func (g *Generator) TaskSet(rng *rand.Rand, n int) []rta.Task {
 				break // individually feasible
 			}
 		}
+		task.Name = p.Name + "#" + strconv.Itoa(i)
 		tasks[i] = task
 	}
 	return tasks

@@ -49,8 +49,10 @@
 // {"error":{"code":"...","message":"..."}}. Streaming requests on
 // connections without chunked-transfer support degrade to the plain
 // buffered response. With -jobs-dir set, results persist content-addressed
-// by canonical request and the kernel cache snapshots on shutdown, so a
-// restarted daemon serves prior results without recompute.
+// by canonical request, so a restarted daemon serves prior results
+// without recompute; the kernel cache is rebuilt on demand after a
+// restart. On SIGINT/SIGTERM the daemon stops taking work and drains
+// running jobs before it exits.
 package main
 
 import (

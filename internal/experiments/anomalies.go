@@ -85,7 +85,6 @@ type anomalyItem struct {
 // deterministic RNG, so the counts are worker-count invariant.
 func Anomalies(cfg AnomalyConfig) AnomaliesResult {
 	c := cfg.withDefaults()
-	c.Gen.WarmWorkers(c.Workers)
 	total := len(c.Sizes) * c.Trials
 	rows := make([]AnomalyRow, 0, len(c.Sizes))
 	for si, n := range c.Sizes {

@@ -79,7 +79,6 @@ type CompareResult struct {
 // are worker-count invariant.
 func Compare(cfg CompareConfig) CompareResult {
 	c := cfg.withDefaults()
-	c.Gen.WarmWorkers(c.Workers)
 	total := len(c.Sizes) * c.Benchmarks
 	rows := make([]CompareRow, 0, len(c.Sizes))
 	for si, n := range c.Sizes {

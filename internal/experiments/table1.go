@@ -96,7 +96,6 @@ type table1Item struct {
 // Benchmarks) — not on worker count or on the other entries of Sizes.
 func Table1(cfg Table1Config) Table1Result {
 	c := cfg.withDefaults()
-	c.Gen.WarmWorkers(c.Workers)
 	total := len(c.Sizes) * c.Benchmarks
 	rows := make([]Table1Row, 0, len(c.Sizes))
 	for si, n := range c.Sizes {

@@ -93,6 +93,7 @@ type Store struct {
 
 	mu    sync.Mutex
 	index map[Key]storeEntry
+	bytes int64 // summed size of the index entries
 
 	hits, misses, puts, putErrs, evicts, quarantined int64
 }
@@ -145,6 +146,7 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 		var k Key
 		copy(k[:], raw)
 		s.index[k] = storeEntry{size: info.Size(), mtime: info.ModTime().UnixNano()}
+		s.bytes += info.Size()
 	}
 	s.mu.Lock()
 	s.gcLocked()
@@ -225,7 +227,10 @@ func (s *Store) quarantine(k Key) {
 	s.fs.Remove(path + corruptExt)
 	err := s.fs.Rename(path, path+corruptExt)
 	s.mu.Lock()
-	delete(s.index, k)
+	if e, ok := s.index[k]; ok {
+		s.bytes -= e.size
+		delete(s.index, k)
+	}
 	s.misses++
 	if err == nil {
 		s.quarantined++
@@ -283,8 +288,13 @@ func (s *Store) Put(k Key, kind string, body []byte) error {
 		s.mu.Unlock()
 		return err
 	}
+	e := storeEntry{size: int64(len(hdr)) + 1 + int64(len(body)), mtime: time.Now().UnixNano()}
 	s.mu.Lock()
-	s.index[k] = storeEntry{size: int64(len(hdr)) + 1 + int64(len(body)), mtime: time.Now().UnixNano()}
+	if old, ok := s.index[k]; ok {
+		s.bytes -= old.size // a concurrent Put of the same key landed first
+	}
+	s.index[k] = e
+	s.bytes += e.size
 	s.puts++
 	s.gcLocked()
 	s.mu.Unlock()
@@ -311,11 +321,7 @@ func (s *Store) gcLocked() {
 			}
 		}
 	}
-	var total int64
-	for _, e := range s.index {
-		total += e.size
-	}
-	if len(s.index) <= s.opt.MaxEntries && total <= s.opt.MaxBytes {
+	if len(s.index) <= s.opt.MaxEntries && s.bytes <= s.opt.MaxBytes {
 		return
 	}
 	type aged struct {
@@ -333,16 +339,17 @@ func (s *Store) gcLocked() {
 		return bytes.Compare(byAge[i].k[:], byAge[j].k[:]) < 0
 	})
 	for _, a := range byAge {
-		if len(s.index) <= s.opt.MaxEntries && total <= s.opt.MaxBytes {
+		if len(s.index) <= s.opt.MaxEntries && s.bytes <= s.opt.MaxBytes {
 			break
 		}
-		total -= a.e.size
 		s.evictLocked(a.k)
 	}
 }
 
+// evictLocked drops k, which must be in the index.
 func (s *Store) evictLocked(k Key) {
 	s.fs.Remove(s.path(k))
+	s.bytes -= s.index[k].size
 	delete(s.index, k)
 	s.evicts++
 }
@@ -364,9 +371,10 @@ func (s *Store) Stats() StoreStats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := StoreStats{
+	return StoreStats{
 		Enabled:       true,
 		Entries:       len(s.index),
+		Bytes:         s.bytes,
 		Hits:          s.hits,
 		Misses:        s.misses,
 		Puts:          s.puts,
@@ -377,8 +385,4 @@ func (s *Store) Stats() StoreStats {
 		ByteCap:       s.opt.MaxBytes,
 		MaxAgeSeconds: s.opt.MaxAge.Seconds(),
 	}
-	for _, e := range s.index {
-		st.Bytes += e.size
-	}
-	return st
 }

@@ -25,6 +25,30 @@ func mustOpen(t *testing.T, dir string, opt StoreOptions) *Store {
 	return s
 }
 
+// checkBytes requires the store's byte total to equal the summed size
+// of the result files on disk.
+func checkBytes(t *testing.T, s *Store, dir string) {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var disk int64
+	for _, de := range des {
+		if !strings.HasSuffix(de.Name(), resExt) {
+			continue
+		}
+		info, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk += info.Size()
+	}
+	if got := s.Stats().Bytes; got != disk {
+		t.Fatalf("Stats().Bytes = %d, result files on disk hold %d", got, disk)
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, StoreOptions{})
@@ -116,6 +140,7 @@ func TestStoreCrashSafety(t *testing.T) {
 			if st := s2.Stats(); st.Quarantined != 1 {
 				t.Fatalf("quarantined = %d", st.Quarantined)
 			}
+			checkBytes(t, s2, dir)
 
 			// Recompute path: a fresh Put stores cleanly again.
 			if err := s2.Put(k, "analyze", body); err != nil {
@@ -125,6 +150,8 @@ func TestStoreCrashSafety(t *testing.T) {
 			if !ok || !bytes.Equal(got, body) {
 				t.Fatalf("recomputed Get = %q, %v", got, ok)
 			}
+			checkBytes(t, s2, dir)
+			checkBytes(t, mustOpen(t, dir, StoreOptions{}), dir)
 		})
 	}
 }
@@ -213,10 +240,13 @@ func TestStoreMaxAge(t *testing.T) {
 
 // TestStoreConcurrentChurn hammers put/get/GC from many goroutines with
 // tight bounds; run under -race in CI. Correctness bar: no data races,
-// no panics, and every successful Get returns exactly the bytes put for
-// that key.
+// no panics, every successful Get returns exactly the bytes put for
+// that key, and the byte total matches the files on disk afterwards and
+// after a reopen.
 func TestStoreConcurrentChurn(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), StoreOptions{MaxEntries: 8, MaxBytes: 4096})
+	dir := t.TempDir()
+	opt := StoreOptions{MaxEntries: 8, MaxBytes: 4096}
+	s := mustOpen(t, dir, opt)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -244,6 +274,8 @@ func TestStoreConcurrentChurn(t *testing.T) {
 	if st := s.Stats(); st.Bytes > 4096 {
 		t.Fatalf("byte cap violated after churn: %d", st.Bytes)
 	}
+	checkBytes(t, s, dir)
+	checkBytes(t, mustOpen(t, dir, opt), dir)
 }
 
 // TestNilStore pins the disabled-store contract: nil receivers are

@@ -46,9 +46,6 @@ import (
 // form keeps map operations allocation-free.
 type Key [32]byte
 
-// KeySize is the byte width of a Key (a SHA-256 digest).
-const KeySize = 32
-
 // Default capacity of the process-wide cache. 8192 entries comfortably
 // hold every (plant, period) pair of a large campaign plus the delayed
 // cost working set of a co-design search; 256 MiB bounds the worst case
@@ -68,9 +65,6 @@ type Stats struct {
 	Bytes     int64 `json:"bytes"`
 	EntryCap  int   `json:"entry_cap"`
 	ByteCap   int64 `json:"byte_cap"`
-	// Restored counts entries admitted from a snapshot (see
-	// snapshot.go) since this cache was built.
-	Restored int64 `json:"restored"`
 }
 
 // entry is one cache slot. once provides per-entry singleflight; val,
@@ -109,9 +103,6 @@ type Cache struct {
 	// per-shard bounds
 	shardEntries int
 	shardBytes   int64
-
-	// restored counts snapshot admissions (see snapshot.go).
-	restored atomic.Int64
 }
 
 // New builds a cache bounded by maxEntries entries and maxBytes stored
@@ -254,22 +245,6 @@ func (c *Cache) Do(k Key, compute func() (any, int64)) any {
 	}
 }
 
-// Get returns the cached value for k without computing on miss.
-func (c *Cache) Get(k Key) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.items[k]; ok && e.ready {
-		e.ref = true
-		sh.hits++
-		return e.val, true
-	}
-	return nil, false
-}
-
 // evictLocked runs the CLOCK hand until both shard bounds hold. Entries
 // referenced since the last pass get a second chance; pending entries
 // are never in the ring, so in-flight computations are never evicted.
@@ -296,7 +271,7 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	s := Stats{Enabled: true, EntryCap: c.entryCap, ByteCap: c.byteCap, Restored: c.restored.Load()}
+	s := Stats{Enabled: true, EntryCap: c.entryCap, ByteCap: c.byteCap}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()

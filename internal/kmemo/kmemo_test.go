@@ -121,19 +121,6 @@ func TestPanicDoesNotPoisonEntry(t *testing.T) {
 	c.invariants(t)
 }
 
-func TestGetDoesNotCompute(t *testing.T) {
-	c := New(64, 1<<20)
-	k := testKey(9)
-	if _, ok := c.Get(k); ok {
-		t.Fatal("Get hit an empty cache")
-	}
-	c.Do(k, func() (any, int64) { return 5, 8 })
-	v, ok := c.Get(k)
-	if !ok || v.(int) != 5 {
-		t.Fatalf("Get = %v, %v", v, ok)
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := New(64, 1<<20)
 	c.Do(testKey(1), func() (any, int64) { return 1, 8 })

@@ -193,8 +193,8 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 		},
 		"admission": s.pool.Stats(),
 		// Cache observability, innermost to outermost: the process-wide
-		// kernel memo (restored counts snapshot warm-starts), this
-		// service's encoded-result LRU, then the durable result store.
+		// kernel memo, this service's encoded-result LRU, then the
+		// durable result store.
 		"kernel_cache": kmemo.Default().Stats(),
 		"result_cache": s.cache.stats(),
 		"result_store": s.store.Stats(),
@@ -369,11 +369,10 @@ func (s *Service) NewServer(addr string) *http.Server {
 // Serve runs the HTTP API on addr until SIGINT/SIGTERM, then shuts down
 // gracefully: readiness flips not-ready, in-flight connections get
 // DrainGrace to finish before their contexts cancel (streams terminate
-// with a typed error event), the job engine drains (new submissions
-// are refused, running jobs complete or are canceled at the deadline),
-// and the kernel-cache snapshot is persisted so the next process
-// warm-starts. Both the ctrlschedd daemon and `ctrlsched serve` are
-// thin wrappers around it.
+// with a typed error event), and the job engine drains (new submissions
+// are refused, running jobs complete or are canceled at the deadline).
+// Both the ctrlschedd daemon and `ctrlsched serve` are thin wrappers
+// around it.
 func Serve(addr string, cfg Config, logf func(format string, args ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -402,12 +401,7 @@ func Serve(addr string, cfg Config, logf func(format string, args ...any)) error
 		shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
 		err := srv.Shutdown(shutCtx)
-		if derr := s.Drain(shutCtx); derr != nil {
-			logf("drain: %v", derr)
-			if err == nil {
-				err = derr
-			}
-		}
+		s.Drain(shutCtx)
 		return err
 	}
 }

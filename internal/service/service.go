@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -91,9 +90,10 @@ type Config struct {
 	// service handler (the ctrlschedd -pprof flag).
 	EnablePprof bool
 	// JobsDir, when set, roots the durable content-addressed result
-	// store and the kmemo snapshot: results survive daemon restarts and
-	// are served byte-identical without recompute, and the kernel cache
-	// warm-starts from the snapshot written at drain. Empty disables
+	// store and the job journal: results survive daemon restarts and are
+	// served byte-identical without recompute. The kernel cache is not
+	// persisted; a restarted process refills it on demand, since every
+	// kernel is a pure function of its inputs. Empty disables
 	// persistence (jobs still run, results die with the process).
 	JobsDir string
 	// StoreEntries/StoreBytes/StoreMaxAge bound the durable store's
@@ -143,7 +143,7 @@ func RegisterFlags(fs *flag.FlagSet) *Config {
 	fs.Int64Var(&cfg.KernelCacheBytes, "kernel-cache-bytes", kmemo.DefaultBytes, "total bytes the kernel result cache may retain")
 	fs.BoolVar(&cfg.KernelCacheOff, "kernel-cache-off", false, "disable the process-wide kernel result cache (recompute every kernel per request)")
 	fs.BoolVar(&cfg.EnablePprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
-	fs.StringVar(&cfg.JobsDir, "jobs-dir", "", "directory for the durable job-result store and kernel-cache snapshot (empty = no persistence)")
+	fs.StringVar(&cfg.JobsDir, "jobs-dir", "", "directory for the durable job-result store and job journal (empty = no persistence)")
 	fs.IntVar(&cfg.StoreEntries, "store-entries", jobs.DefaultStoreEntries, "max results the durable store retains")
 	fs.Int64Var(&cfg.StoreBytes, "store-bytes", jobs.DefaultStoreBytes, "total bytes the durable store may retain")
 	fs.DurationVar(&cfg.StoreMaxAge, "store-max-age", 0, "drop stored results older than this (0 = no age bound)")
@@ -369,10 +369,6 @@ func New(cfg Config) *Service {
 			s.journalErr = err.Error()
 			jrn, intents = nil, nil
 		}
-		// Warm-start the kernel cache from the snapshot the previous
-		// process wrote at drain; a missing or corrupt snapshot restores
-		// nothing and costs nothing (cold solves are always correct).
-		_, _ = kmemo.LoadSnapshot(s.snapshotPath())
 	}
 	s.jobsEng = jobs.NewEngine(s.store, c.MaxJobs, jrn)
 	// Resolve what the previous process left behind before taking
@@ -385,11 +381,6 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// snapshotPath is where the kernel-cache snapshot lives inside JobsDir.
-func (s *Service) snapshotPath() string {
-	return filepath.Join(s.cfg.JobsDir, "kmemo.snap")
-}
-
 // BeginDrain marks the service as shutting down: /readyz reports
 // not-ready from this point on, so rolling deploys stop routing new
 // work here while in-flight requests finish. Idempotent.
@@ -398,18 +389,13 @@ func (s *Service) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether shutdown has begun.
 func (s *Service) Draining() bool { return s.draining.Load() }
 
-// Drain stops accepting job submissions, waits for running jobs
-// (canceling them if ctx expires first), and persists the kernel-cache
-// snapshot so the next process warm-starts. Serve calls it on graceful
-// shutdown.
-func (s *Service) Drain(ctx context.Context) error {
+// Drain stops accepting job submissions and waits for running jobs,
+// canceling them if ctx expires first. Finished results are already in
+// the durable store, so nothing else needs saving. Serve calls it on
+// graceful shutdown.
+func (s *Service) Drain(ctx context.Context) {
 	s.BeginDrain()
 	s.jobsEng.Drain(ctx)
-	if s.cfg.JobsDir == "" {
-		return nil
-	}
-	_, err := kmemo.SaveSnapshot(s.snapshotPath())
-	return err
 }
 
 // Workers returns the campaign pool width the service runs with.

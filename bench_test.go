@@ -209,17 +209,6 @@ func BenchmarkAblationBacktrackingMemoized(b *testing.B) {
 	}
 }
 
-// Ablation: slack-ordered candidate exploration.
-func BenchmarkAblationBacktrackingSlackOrder(b *testing.B) {
-	sharedGen.Warm()
-	rng := rand.New(rand.NewSource(10))
-	tasks := sharedGen.TaskSet(rng, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		assign.BacktrackingOpts(tasks, assign.Options{OrderBySlack: true})
-	}
-}
-
 // BenchmarkRTAAnalyzeAll20 measures one full-task-set exact analysis
 // (n = 20), the innermost kernel of every assignment search and batch
 // query; run with -benchmem to see the workspace savings.

@@ -1,229 +1,192 @@
-// Command benchgate is the CI bench-regression gate: it parses `go test
-// -bench` text output, extracts ns/op per benchmark (taking the fastest
-// sample when -count repeats a benchmark, which rejects scheduler
-// noise), and compares the result against a committed baseline.
+// Command benchgate is the CI bench-regression gate: a same-session A/B
+// of the working tree against a git revision, run from the repository
+// root:
 //
-// Compare (the CI mode) fails with a non-zero exit if any benchmark
-// present in the baseline is missing from the run or slower than
-// baseline × threshold (default 1.25, i.e. a >25% ns/op regression).
-// The baseline records the cpu and Go version it was pinned on; when
-// the comparing environment differs, regressions are reported as
-// warnings instead of failures (absolute ns/op does not transfer
-// across hardware) unless -strict is set — re-pin with -write on the
-// new environment to make the gate binding there:
+//	go run ./cmd/benchgate HEAD^1
 //
-//	go test -run '^$' -bench '^(BenchmarkFig2Point|...)$' -count 3 . | tee bench.txt
-//	go run ./cmd/benchgate -baseline BENCH_baseline.json bench.txt
-//
-// Regenerate (the -update-style path, after an intentional perf change
-// or on new reference hardware):
-//
-//	go test -run '^$' -bench '^(BenchmarkFig2Point|...)$' -count 3 . | tee bench.txt
-//	go run ./cmd/benchgate -baseline BENCH_baseline.json -write bench.txt
-//
-// Only benchmarks named in the baseline participate in the comparison,
-// so the pinned set is exactly the baseline file's key set; extra
-// benchmarks in the run are ignored.
+// It checks the revision out as a temporary git worktree, builds the root
+// package's test binary in both trees, and runs the gated benchmarks for
+// ten pairs at one fixed -benchtime, alternating which side runs first.
+// A benchmark fails when the working tree is slower in at least nine of
+// the ten pairs and its median ns/op is more than 1.25× the revision's,
+// or when the revision has it and the working tree does not. A benchmark
+// only the working tree has is reported as new and not gated. Timing both
+// sides in one session on one host is what lets the gate bind: absolute
+// ns/op drifts between hosts, Go releases and even sessions.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
-	"flag"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 )
 
-// Baseline is the committed reference file.
-type Baseline struct {
-	Note string `json:"note,omitempty"`
-	// CPU and Go record the environment the baseline was pinned on.
-	// Absolute ns/op only transfers between like machines: when the
-	// comparing environment differs, a uniform shift across every
-	// benchmark means "re-pin the baseline here", not "code regressed"
-	// — benchgate prints a warning so that triage is immediate.
-	CPU        string               `json:"cpu,omitempty"`
-	Go         string               `json:"go,omitempty"`
-	Threshold  float64              `json:"threshold,omitempty"`
-	Benchmarks map[string]Benchmark `json:"benchmarks"`
-}
+const (
+	// gated names the root-package benchmarks the gate runs: the paper's
+	// kernels (Algorithm 1, the Fig. 2 LQG cost, the Fig. 4 jitter
+	// margin), the co-design engine and its co-simulation, and the
+	// service's batch, cache-hit and job-submit paths.
+	gated = `^Benchmark(AssignBacktracking20|Fig2Point|Fig4Margin|CodesignCold|CosimLoop|AnalyzeBatch64|AnalyzeHit|JobSubmitHit)$`
 
-// Benchmark is one pinned measurement.
-type Benchmark struct {
-	NsPerOp float64 `json:"ns_per_op"`
-}
+	pairs     = 10
+	minLosses = 9
+	maxRatio  = 1.25
+	// benchtime is a duration rather than an iteration count, so the
+	// microsecond benchmarks run thousands of iterations per sample and
+	// a no-op's median ratios stay below maxRatio (BENCH_results.txt).
+	benchtime = "300ms"
+)
 
 // benchLine matches one benchmark result line, e.g.
 //
 //	BenchmarkFig2Point-4   	     226	   5318638 ns/op	  12345 B/op ...
 //
-// The -N GOMAXPROCS suffix is stripped so baselines transfer across
-// machines with different core counts.
+// The -N GOMAXPROCS suffix is stripped from the name.
 var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
-// parse extracts the fastest ns/op per benchmark name from bench text,
-// plus the "cpu:" environment line go test prints.
-func parse(r io.Reader) (map[string]float64, string, error) {
-	out := make(map[string]float64)
-	cpu := ""
+// parse appends every ns/op sample in bench text to samples, in order.
+func parse(r io.Reader, samples map[string][]float64) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "cpu: "); ok {
-			cpu = strings.TrimSpace(rest)
-			continue
-		}
-		m := benchLine.FindStringSubmatch(line)
+		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
 		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
-			return nil, "", fmt.Errorf("bad ns/op %q: %w", m[2], err)
+			return fmt.Errorf("bad ns/op %q: %w", m[2], err)
 		}
-		if prev, ok := out[m[1]]; !ok || ns < prev {
-			out[m[1]] = ns
-		}
+		samples[m[1]] = append(samples[m[1]], ns)
 	}
-	return out, cpu, sc.Err()
+	return sc.Err()
 }
 
-func main() {
-	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline file to compare against (or write)")
-	write := flag.Bool("write", false, "regenerate the baseline from the bench output instead of comparing")
-	threshold := flag.Float64("threshold", 0, "fail above baseline×threshold (0 = use the baseline file's threshold, default 1.25)")
-	strict := flag.Bool("strict", false, "fail on regressions even when the run environment differs from the baseline's")
-	flag.Parse()
-
-	in := io.Reader(os.Stdin)
-	if flag.NArg() > 0 {
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		in = f
-	}
-	got, cpu, err := parse(in)
-	if err != nil {
-		fatal("parse bench output: %v", err)
-	}
-	if len(got) == 0 {
-		fatal("no benchmark lines found in input")
-	}
-
-	if *write {
-		writeBaseline(*baselinePath, got, cpu, *threshold)
-		return
-	}
-	compare(*baselinePath, got, cpu, *threshold, *strict)
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
 }
 
-func writeBaseline(path string, got map[string]float64, cpu string, threshold float64) {
-	b := Baseline{
-		Note: "Pinned ns/op reference for the CI bench-regression gate. " +
-			"Regenerate on reference hardware with: " +
-			"go test -run '^$' -bench <pinned set> -count 3 . | go run ./cmd/benchgate -baseline BENCH_baseline.json -write",
-		CPU:        cpu,
-		Go:         runtime.Version(),
-		Threshold:  threshold,
-		Benchmarks: make(map[string]Benchmark, len(got)),
-	}
-	if b.Threshold == 0 {
-		b.Threshold = 1.25
-	}
-	for name, ns := range got {
-		b.Benchmarks[name] = Benchmark{NsPerOp: ns}
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		fatal("%v", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal("%v", err)
-	}
-	fmt.Printf("wrote %s with %d benchmarks\n", path, len(got))
-}
-
-func compare(path string, got map[string]float64, cpu string, threshold float64, strict bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal("read baseline: %v", err)
-	}
-	var base Baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		fatal("parse baseline: %v", err)
-	}
-	if threshold == 0 {
-		threshold = base.Threshold
-	}
-	if threshold == 0 {
-		threshold = 1.25
-	}
-
-	// Absolute ns/op only transfers between like environments. When the
-	// baseline was pinned on different hardware or a different Go
-	// version, regressions are reported but (without -strict) do not
-	// fail the gate — a uniform cross-environment shift would otherwise
-	// block every PR until someone re-pins, and per-benchmark hardware
-	// ratios are not uniform enough for the threshold to be meaningful.
-	envMatch := true
-	if base.CPU != "" && cpu != "" && base.CPU != cpu {
-		envMatch = false
-		fmt.Printf("WARN baseline pinned on cpu %q but this run is on %q\n", base.CPU, cpu)
-	}
-	if base.Go != "" && base.Go != runtime.Version() {
-		envMatch = false
-		fmt.Printf("WARN baseline pinned with %s but this run uses %s\n", base.Go, runtime.Version())
-	}
-	if !envMatch {
-		fmt.Printf("WARN absolute ns/op does not transfer across environments — re-pin with\n")
-		fmt.Printf("WARN `benchgate -write` on this environment to make the gate binding here\n")
-	}
-
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
+// decide applies the gate's rule to each benchmark's paired samples:
+// parent[name][i] and change[name][i] ran in pair i. It returns one
+// report line per benchmark and whether any failed.
+func decide(parent, change map[string][]float64) ([]string, bool) {
+	var names []string
+	for name := range parent {
 		names = append(names, name)
+	}
+	for name := range change {
+		if _, ok := parent[name]; !ok {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 
+	var lines []string
 	failed := false
 	for _, name := range names {
-		want := base.Benchmarks[name].NsPerOp
-		ns, ok := got[name]
-		if !ok {
-			fmt.Printf("FAIL %-28s missing from bench output\n", name)
+		p, c := parent[name], change[name]
+		switch {
+		case len(p) == 0:
+			lines = append(lines, fmt.Sprintf("new  %-20s change %12.0f ns/op, not in the parent: not gated", name, median(c)))
+		case len(c) == 0:
+			lines = append(lines, fmt.Sprintf("FAIL %-20s in the parent but missing from the change", name))
 			failed = true
-			continue
+		default:
+			losses := 0
+			for i := 0; i < len(p) && i < len(c); i++ {
+				if c[i] > p[i] {
+					losses++
+				}
+			}
+			mp, mc := median(p), median(c)
+			verdict := "ok  "
+			if losses >= minLosses && mc/mp > maxRatio {
+				verdict = "FAIL"
+				failed = true
+			}
+			lines = append(lines, fmt.Sprintf("%s %-20s parent %12.0f ns/op  change %12.0f ns/op  ratio %.2f  slower in %d of %d pairs",
+				verdict, name, mp, mc, mc/mp, losses, min(len(p), len(c))))
 		}
-		ratio := ns / want
-		verdict := "ok  "
-		if ratio > threshold {
-			verdict = "FAIL"
-			failed = true
-		}
-		fmt.Printf("%s %-28s %12.0f ns/op  baseline %12.0f  ratio %.2f (limit %.2f)\n",
-			verdict, name, ns, want, ratio, threshold)
 	}
-	switch {
-	case failed && (envMatch || strict):
-		fmt.Println("bench-regression gate FAILED")
-		os.Exit(1)
-	case failed:
-		fmt.Println("bench-regression gate: regressions observed on a NON-BASELINE environment — advisory only (use -strict to enforce, -write to re-pin)")
-	default:
-		fmt.Println("bench-regression gate passed")
-	}
+	return lines, failed
 }
 
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchgate: "+format+"\n", args...)
-	os.Exit(1)
+func main() {
+	if len(os.Args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: go run ./cmd/benchgate <rev>")
+		os.Exit(2)
+	}
+	failed, err := run(os.Args[1])
+	switch {
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+		os.Exit(1)
+	case failed:
+		fmt.Println("bench gate FAILED")
+		os.Exit(1)
+	}
+	fmt.Println("bench gate passed")
+}
+
+// run builds rev and the working tree, times them in alternating pairs
+// and prints the verdicts. The worktree and binaries are removed on
+// every return path.
+func run(rev string) (bool, error) {
+	tmp, err := os.MkdirTemp("", "benchgate-")
+	if err != nil {
+		return false, err
+	}
+	defer os.RemoveAll(tmp)
+	tree := filepath.Join(tmp, "parent")
+	if err := command("", "git", "worktree", "add", "--detach", tree, rev).Run(); err != nil {
+		return false, fmt.Errorf("git worktree add %s: %w", rev, err)
+	}
+	defer command("", "git", "worktree", "remove", "--force", tree).Run()
+
+	dirs := [2]string{tree, "."}
+	bins := [2]string{filepath.Join(tmp, "parent.test"), filepath.Join(tmp, "change.test")}
+	samples := [2]map[string][]float64{{}, {}}
+	for s := range dirs {
+		if err := command(dirs[s], "go", "test", "-c", "-o", bins[s], ".").Run(); err != nil {
+			return false, fmt.Errorf("build %s: %w", dirs[s], err)
+		}
+	}
+	for pair := 0; pair < pairs; pair++ {
+		fmt.Fprintf(os.Stderr, "benchgate: pair %d of %d\n", pair+1, pairs)
+		for k := 0; k < 2; k++ {
+			s := (pair + k) % 2 // the parent runs first in even pairs
+			cmd := exec.Command(bins[s], "-test.run", "^$", "-test.bench", gated, "-test.benchtime", benchtime)
+			cmd.Dir, cmd.Stderr = dirs[s], os.Stderr
+			out, err := cmd.Output()
+			if err != nil {
+				return false, fmt.Errorf("%s: %w\n%s", bins[s], err, out)
+			}
+			if err := parse(bytes.NewReader(out), samples[s]); err != nil {
+				return false, err
+			}
+		}
+	}
+	lines, failed := decide(samples[0], samples[1])
+	for _, l := range lines {
+		fmt.Println(l)
+	}
+	return failed, nil
+}
+
+// command runs in dir with all its output on this process's stderr, so
+// stdout carries only the verdicts.
+func command(dir, name string, args ...string) *exec.Cmd {
+	cmd := exec.Command(name, args...)
+	cmd.Dir = dir
+	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+	return cmd
 }

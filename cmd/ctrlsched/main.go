@@ -37,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ctrlsched/internal/assign"
 	"ctrlsched/internal/experiments"
 	"ctrlsched/internal/service"
 )
@@ -127,20 +128,31 @@ commands:
   all        quick versions of all of the above`)
 }
 
-func parseSizes(s string) []int {
+// parseSizes parses a comma-separated -sizes value; "" means the
+// experiment's defaults. Every size must fit the assignment algorithms.
+func parseSizes(s string) ([]int, error) {
 	if s == "" {
-		return nil
+		return nil, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			fmt.Fprintf(os.Stderr, "ctrlsched: bad size %q\n", part)
-			os.Exit(2)
+		if err != nil || v < 1 || v > assign.MaxTasks {
+			return nil, fmt.Errorf("bad size %q (want 1 to %d)", part, assign.MaxTasks)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
+}
+
+// mustParseSizes is parseSizes for a subcommand: a bad size exits 2.
+func mustParseSizes(s string) []int {
+	sizes, err := parseSizes(s)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ctrlsched:", err)
+		os.Exit(2)
+	}
+	return sizes
 }
 
 func runFig2(args []string) {
@@ -175,7 +187,7 @@ func runTable1(args []string) {
 	fs.Parse(args)
 	emit(experiments.Table1(experiments.Table1Config{
 		Benchmarks:      *benchmarks,
-		Sizes:           parseSizes(*sizes),
+		Sizes:           mustParseSizes(*sizes),
 		Seed:            *seed,
 		DiagnoseRescues: *diagnose,
 		Workers:         *workers,
@@ -192,7 +204,7 @@ func runFig5(args []string) {
 	fs.Parse(args)
 	emit(experiments.Fig5(experiments.Fig5Config{
 		Benchmarks: *benchmarks,
-		Sizes:      parseSizes(*sizes),
+		Sizes:      mustParseSizes(*sizes),
 		Seed:       *seed,
 		Workers:    *workers,
 	}), *csv, *json)
@@ -208,7 +220,7 @@ func runAnomalies(args []string) {
 	fs.Parse(args)
 	emit(experiments.Anomalies(experiments.AnomalyConfig{
 		Trials:  *trials,
-		Sizes:   parseSizes(*sizes),
+		Sizes:   mustParseSizes(*sizes),
 		Seed:    *seed,
 		Workers: *workers,
 	}), *csv, *json)
@@ -224,7 +236,7 @@ func runCompare(args []string) {
 	fs.Parse(args)
 	emit(experiments.Compare(experiments.CompareConfig{
 		Benchmarks: *benchmarks,
-		Sizes:      parseSizes(*sizes),
+		Sizes:      mustParseSizes(*sizes),
 		Seed:       *seed,
 		Workers:    *workers,
 	}), *csv, *json)

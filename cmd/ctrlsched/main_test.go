@@ -1,19 +1,27 @@
 package main
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestParseSizes(t *testing.T) {
-	got := parseSizes("4, 8,12")
-	want := []int{4, 8, 12}
-	if len(got) != len(want) {
-		t.Fatalf("parseSizes = %v", got)
+	tests := []struct {
+		in   string
+		want []int
+		bad  bool
+	}{
+		{in: "4, 8,12", want: []int{4, 8, 12}},
+		{in: ""}, // nil: the experiment's defaults
+		{in: "31", want: []int{31}},
+		{in: "0", bad: true},
+		{in: "32", bad: true},
+		{in: "4,x", bad: true},
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parseSizes = %v, want %v", got, want)
+	for _, tc := range tests {
+		got, err := parseSizes(tc.in)
+		if (err != nil) != tc.bad || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("parseSizes(%q) = %v, %v; want %v, bad=%v", tc.in, got, err, tc.want, tc.bad)
 		}
-	}
-	if parseSizes("") != nil {
-		t.Fatal("empty string should give nil (defaults)")
 	}
 }

@@ -30,13 +30,13 @@ package assign
 
 import (
 	"math"
-	"sort"
 
 	"ctrlsched/internal/rta"
 )
 
-// maxTasks bounds the bitmask representation of task subsets.
-const maxTasks = 31
+// MaxTasks is the largest task set the assignment algorithms accept: task
+// subsets are represented as bitmasks.
+const MaxTasks = 31
 
 // Stats counts the work done by an assignment algorithm.
 type Stats struct {
@@ -67,10 +67,6 @@ type Options struct {
 	// the search. The paper's Algorithm 1 does not memoize; enabling it
 	// is an ablation that trades memory for worst-case time.
 	Memoize bool
-	// OrderBySlack visits candidates at each level in decreasing
-	// stability slack instead of input order — a common-case heuristic
-	// ablation.
-	OrderBySlack bool
 	// MaxEvaluations, when positive, aborts the search after that many
 	// exact response-time evaluations. An aborted search reports
 	// Aborted=true and Valid=false: "no assignment found within budget",
@@ -92,8 +88,7 @@ type evalRecord struct {
 // evaluator runs the exact response-time evaluations of one assignment
 // search. It owns the reusable rta workspace (so candidate evaluation
 // performs no per-call heap allocation) and, when memoization is on, a
-// cache of full evalRecords keyed by (candidate set, task) — the slack
-// ordering heuristic and the feasibility test share entries, so a WCRT
+// cache of full evalRecords keyed by (candidate set, task), so a WCRT
 // established once is never recomputed anywhere in the search.
 type evaluator struct {
 	tasks []rta.Task
@@ -216,7 +211,6 @@ func BacktrackingOpts(tasks []rta.Task, opt Options) Result {
 type Searcher struct {
 	ev       evaluator
 	orderBuf []int
-	slackBuf []float64
 	prio     []int
 }
 
@@ -230,7 +224,7 @@ func (s *Searcher) Backtracking(tasks []rta.Task, opt Options) Result {
 	if n == 0 {
 		return Result{Priorities: []int{}, Valid: true}
 	}
-	if n > maxTasks {
+	if n > MaxTasks {
 		panic("assign: too many tasks for bitmask representation")
 	}
 	res := Result{}
@@ -238,7 +232,7 @@ func (s *Searcher) Backtracking(tasks []rta.Task, opt Options) Result {
 	ev := &s.ev
 
 	// Per-level candidate buffers (one row per recursion depth) and the
-	// slack lookup are retained across searches.
+	// priority vector are retained across searches.
 	if cap(s.prio) < n {
 		s.prio = make([]int, n)
 	}
@@ -247,13 +241,6 @@ func (s *Searcher) Backtracking(tasks []rta.Task, opt Options) Result {
 		s.orderBuf = make([]int, n*n)
 	}
 	orderBuf := s.orderBuf[:n*n]
-	var slackBuf []float64
-	if opt.OrderBySlack {
-		if cap(s.slackBuf) < n {
-			s.slackBuf = make([]float64, n)
-		}
-		slackBuf = s.slackBuf[:n]
-	}
 
 	// nodes counts recursion entries. With memoization a search can walk
 	// an exponential tree of cached states without new evaluations, so
@@ -275,12 +262,6 @@ func (s *Searcher) Backtracking(tasks []rta.Task, opt Options) Result {
 			if remaining&(1<<uint(i)) != 0 {
 				order = append(order, i)
 			}
-		}
-		if opt.OrderBySlack {
-			for _, i := range order {
-				slackBuf[i], _ = ev.slack(remaining, i)
-			}
-			sort.SliceStable(order, func(a, b int) bool { return slackBuf[order[a]] > slackBuf[order[b]] })
 		}
 		for _, i := range order {
 			if !ev.feasible(remaining, i) {
@@ -318,7 +299,7 @@ func UnsafeQuadratic(tasks []rta.Task) Result {
 		res.Valid = true
 		return res
 	}
-	if n > maxTasks {
+	if n > MaxTasks {
 		panic("assign: too many tasks for bitmask representation")
 	}
 	ev := newEvaluator(tasks, false, &res.Stats)
@@ -354,7 +335,7 @@ func AudsleyGreedy(tasks []rta.Task) Result {
 	if n == 0 {
 		return Result{Priorities: []int{}, Valid: true}
 	}
-	if n > maxTasks {
+	if n > MaxTasks {
 		panic("assign: too many tasks for bitmask representation")
 	}
 	prio := make([]int, n)

@@ -200,22 +200,18 @@ func TestBacktrackingMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// Memoization and slack-ordering are pure optimizations: same verdict.
+// Memoization is a pure optimization: same verdict.
 func TestBacktrackingOptionsPreserveVerdict(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 150; trial++ {
 		tasks := randomTaskSet(rng, 3+rng.Intn(4))
 		base := Backtracking(tasks)
 		memo := BacktrackingOpts(tasks, Options{Memoize: true})
-		slackOrd := BacktrackingOpts(tasks, Options{OrderBySlack: true})
-		both := BacktrackingOpts(tasks, Options{Memoize: true, OrderBySlack: true})
-		for i, r := range []Result{memo, slackOrd, both} {
-			if r.Valid != base.Valid {
-				t.Fatalf("trial %d: option set %d changed verdict", trial, i)
-			}
-			if r.Valid && !Validate(tasks, r.Priorities) {
-				t.Fatalf("trial %d: option set %d returned invalid assignment", trial, i)
-			}
+		if memo.Valid != base.Valid {
+			t.Fatalf("trial %d: memoization changed verdict", trial)
+		}
+		if memo.Valid && !Validate(tasks, memo.Priorities) {
+			t.Fatalf("trial %d: memoization returned invalid assignment", trial)
 		}
 	}
 }

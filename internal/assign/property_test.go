@@ -42,9 +42,6 @@ func TestEveryHeuristicOrderPassesValidate(t *testing.T) {
 		{"backtracking-memo", func(ts []rta.Task) Result {
 			return BacktrackingOpts(ts, Options{Memoize: true})
 		}},
-		{"backtracking-slackorder", func(ts []rta.Task) Result {
-			return BacktrackingOpts(ts, Options{OrderBySlack: true})
-		}},
 	}
 	rng := rand.New(rand.NewSource(414))
 	for trial := 0; trial < 150; trial++ {

@@ -16,8 +16,7 @@ func TestSearcherReuseMatchesFresh(t *testing.T) {
 	opts := []Options{
 		{},
 		{Memoize: true},
-		{OrderBySlack: true},
-		{Memoize: true, OrderBySlack: true, MaxEvaluations: 5000},
+		{Memoize: true, MaxEvaluations: 5000},
 	}
 	for trial := 0; trial < 200; trial++ {
 		tasks := randomTaskSet(rng, 2+rng.Intn(7))

@@ -56,7 +56,9 @@
 // Inner iterations are allocation-conscious by construction: priority
 // searches run through pooled assign.Searcher instances (reusable memo +
 // rta workspace), response-time analysis through pooled rta.Workspace
-// buffers, and delay-aware costs are memoized per (design, delay).
+// buffers, and delay-aware costs come from the process-wide kernel cache
+// (lqg.DelayedCostCached), shared across sweeps, candidate searches and
+// requests.
 package codesign
 
 import (
@@ -77,9 +79,6 @@ import (
 	"ctrlsched/internal/rta"
 	"ctrlsched/internal/sim"
 )
-
-// maxTasks mirrors the assignment engine's bitmask bound.
-const maxTasks = 31
 
 // ErrInternal marks failures of the engine's own machinery — e.g. the
 // winner's validation co-simulation rejecting inputs the engine itself
@@ -287,12 +286,6 @@ type Result struct {
 	Tasks      []TaskResult
 }
 
-// delayKey identifies one memoized delay-aware cost evaluation.
-type delayKey struct {
-	design *lqg.Design
-	bits   uint64
-}
-
 // sweepKey identifies one point of a loop's sweep cost curve: candidate
 // cand substituted into loop `loop`, with every other loop frozen at the
 // context encoded by ctx. Keeping the curve keyed by context makes later
@@ -332,9 +325,6 @@ type engine struct {
 
 	pool sync.Pool
 
-	delayMu   sync.Mutex
-	delayMemo map[delayKey]float64
-
 	curveMu   sync.Mutex
 	curveMemo map[sweepKey]sweepVal
 
@@ -350,8 +340,8 @@ func Run(base []BaseTask, loops []LoopSpec, opt Options) (*Result, error) {
 	if len(loops) == 0 {
 		return nil, fmt.Errorf("codesign: at least one candidate loop required")
 	}
-	if len(base)+len(loops) > maxTasks {
-		return nil, fmt.Errorf("codesign: %d tasks exceed the %d-task limit", len(base)+len(loops), maxTasks)
+	if len(base)+len(loops) > assign.MaxTasks {
+		return nil, fmt.Errorf("codesign: %d tasks exceed the %d-task limit", len(base)+len(loops), assign.MaxTasks)
 	}
 	for i, lp := range loops {
 		if lp.Plant == nil {
@@ -373,7 +363,6 @@ func Run(base []BaseTask, loops []LoopSpec, opt Options) (*Result, error) {
 	e := &engine{
 		opt:       opt,
 		loops:     loops,
-		delayMemo: make(map[delayKey]float64),
 		curveMemo: make(map[sweepKey]sweepVal),
 	}
 	e.pool.New = func() any { return new(evalCtx) }
@@ -532,26 +521,6 @@ func (e *engine) buildTasks(ctx *evalCtx, sel []int, override, cand int) ([]rta.
 	return tasks, designs
 }
 
-// delayedCost memoizes lqg.DelayedCost per (design, delay). The local
-// pointer-keyed map is the L1 (no hashing in the swap-descent loop); a
-// miss falls through to the process-wide kernel cache, so identical
-// sub-configurations are shared across sweeps, candidate searches, and
-// requests — the access pattern alternating minimization produces.
-func (e *engine) delayedCost(d *lqg.Design, delay float64) float64 {
-	key := delayKey{d, math.Float64bits(delay)}
-	e.delayMu.Lock()
-	v, ok := e.delayMemo[key]
-	e.delayMu.Unlock()
-	if ok {
-		return v
-	}
-	v = lqg.DelayedCostCached(d, delay)
-	e.delayMu.Lock()
-	e.delayMemo[key] = v
-	e.delayMu.Unlock()
-	return v
-}
-
 // configCost evaluates one fully specified configuration: exact RTA of
 // every task under prio, +Inf if any deadline or stability constraint is
 // violated, otherwise the total delay-aware LQG cost.
@@ -566,7 +535,7 @@ func (e *engine) configCost(ctx *evalCtx, tasks []rta.Task, designs []*lqg.Desig
 	total := 0.0
 	for i, d := range designs {
 		if d != nil {
-			total += e.delayedCost(d, ctx.rs[i].WCRT)
+			total += lqg.DelayedCostCached(d, ctx.rs[i].WCRT)
 		}
 	}
 	return total
@@ -954,7 +923,7 @@ func (e *engine) validate(res *Result, sel []int) error {
 		}
 		if d := designs[i]; d != nil {
 			tr.StandaloneCost = d.Cost
-			tr.DelayAwareCost = e.delayedCost(d, rs[i].WCRT)
+			tr.DelayAwareCost = lqg.DelayedCostCached(d, rs[i].WCRT)
 			tr.EmpiricalCost = cres.Loops[i].Cost
 			tr.MaxState = cres.Loops[i].MaxState
 			if cres.Loops[i].Diverged() {

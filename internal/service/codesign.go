@@ -64,8 +64,8 @@ func (r CodesignRequest) normalize() (CodesignRequest, error) {
 	if len(r.Loops) > maxCodesignLoops {
 		return r, badRequest("%d loops exceed the %d-loop limit", len(r.Loops), maxCodesignLoops)
 	}
-	if len(r.BaseTasks)+len(r.Loops) > maxAnalyzeTasks {
-		return r, badRequest("%d tasks exceed the %d-task limit", len(r.BaseTasks)+len(r.Loops), maxAnalyzeTasks)
+	if len(r.BaseTasks)+len(r.Loops) > assign.MaxTasks {
+		return r, badRequest("%d tasks exceed the %d-task limit", len(r.BaseTasks)+len(r.Loops), assign.MaxTasks)
 	}
 	base, err := normalizeTaskSpecs(r.BaseTasks)
 	if err != nil {

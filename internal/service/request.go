@@ -20,10 +20,6 @@ import (
 // experiment kinds live in package experiments.
 const kindAnalyze = "analyze"
 
-// maxAnalyzeTasks mirrors the priority-assignment engine's task-set
-// bound (assign uses a uint32 candidate mask).
-const maxAnalyzeTasks = 31
-
 // decodeStrict parses raw into T, rejecting unknown fields and trailing
 // data so configuration typos surface as 400s instead of silently
 // running a default campaign. An empty body means all defaults.
@@ -65,8 +61,8 @@ func (s *Service) checkCampaign(perSize int, sizes []int, passes int, gen experi
 		return badRequest("campaign needs at least one task-set size")
 	}
 	for _, n := range sizes {
-		if n < 1 || n > maxAnalyzeTasks {
-			return badRequest("task-set size %d outside [1, %d]", n, maxAnalyzeTasks)
+		if n < 1 || n > assign.MaxTasks {
+			return badRequest("task-set size %d outside [1, %d]", n, assign.MaxTasks)
 		}
 	}
 	// Division instead of perSize*len(sizes)*passes: the product can
@@ -178,8 +174,8 @@ func (r AnalyzeRequest) normalize() (AnalyzeRequest, error) {
 	if r.Period != 0 {
 		return r, badRequest("period applies only to plant analysis")
 	}
-	if len(r.Tasks) > maxAnalyzeTasks {
-		return r, badRequest("%d tasks exceed the %d-task limit", len(r.Tasks), maxAnalyzeTasks)
+	if len(r.Tasks) > assign.MaxTasks {
+		return r, badRequest("%d tasks exceed the %d-task limit", len(r.Tasks), assign.MaxTasks)
 	}
 	if r.Method == "" {
 		r.Method = "backtracking"

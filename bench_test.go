@@ -110,8 +110,7 @@ func BenchmarkTable1(b *testing.B) {
 			Benchmarks: 200,
 			Sizes:      []int{4, 12, 20},
 			Seed:       int64(i + 1),
-			Gen:        sharedGen,
-		})
+		}, experiments.Exec{Gen: experiments.Fixed(sharedGen)})
 	}
 }
 
@@ -127,9 +126,7 @@ func BenchmarkTable1Workers(b *testing.B) {
 					Benchmarks: 200,
 					Sizes:      []int{4, 12, 20},
 					Seed:       1,
-					Gen:        sharedGen,
-					Workers:    w,
-				})
+				}, experiments.Exec{Workers: w, Gen: experiments.Fixed(sharedGen)})
 			}
 		})
 	}
@@ -146,9 +143,7 @@ func BenchmarkCompareWorkers(b *testing.B) {
 					Benchmarks: 100,
 					Sizes:      []int{8, 16},
 					Seed:       1,
-					Gen:        sharedGen,
-					Workers:    w,
-				})
+				}, experiments.Exec{Workers: w, Gen: experiments.Fixed(sharedGen)})
 			}
 		})
 	}
@@ -164,8 +159,7 @@ func BenchmarkFig5(b *testing.B) {
 			Benchmarks: 100,
 			Sizes:      []int{4, 12, 20},
 			Seed:       int64(i + 1),
-			Gen:        sharedGen,
-		})
+		}, experiments.Exec{Gen: experiments.Fixed(sharedGen)})
 		if len(res.Rows) != 3 {
 			b.Fatal("missing rows")
 		}
@@ -503,8 +497,7 @@ func BenchmarkAnomalySearch(b *testing.B) {
 			Trials: 500,
 			Sizes:  []int{8},
 			Seed:   int64(i + 1),
-			Gen:    sharedGen,
-		})
+		}, experiments.Exec{Gen: experiments.Fixed(sharedGen)})
 		if len(res.Rows) != 1 {
 			b.Fatal("missing row")
 		}

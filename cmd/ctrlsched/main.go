@@ -161,7 +161,7 @@ func runFig2(args []string) {
 	workers := workersFlag(fs)
 	csv, json := outputFlags(fs)
 	fs.Parse(args)
-	emit(experiments.Fig2Run(experiments.Fig2RunConfig{Points: *points, Workers: *workers}), *csv, *json)
+	emit(experiments.Fig2Run(experiments.Fig2RunConfig{Points: *points}, experiments.Exec{Workers: *workers}), *csv, *json)
 }
 
 func runFig4(args []string) {
@@ -190,8 +190,7 @@ func runTable1(args []string) {
 		Sizes:           mustParseSizes(*sizes),
 		Seed:            *seed,
 		DiagnoseRescues: *diagnose,
-		Workers:         *workers,
-	}), *csv, *json)
+	}, experiments.Exec{Workers: *workers}), *csv, *json)
 }
 
 func runFig5(args []string) {
@@ -206,8 +205,7 @@ func runFig5(args []string) {
 		Benchmarks: *benchmarks,
 		Sizes:      mustParseSizes(*sizes),
 		Seed:       *seed,
-		Workers:    *workers,
-	}), *csv, *json)
+	}, experiments.Exec{Workers: *workers}), *csv, *json)
 }
 
 func runAnomalies(args []string) {
@@ -219,11 +217,10 @@ func runAnomalies(args []string) {
 	csv, json := outputFlags(fs)
 	fs.Parse(args)
 	emit(experiments.Anomalies(experiments.AnomalyConfig{
-		Trials:  *trials,
-		Sizes:   mustParseSizes(*sizes),
-		Seed:    *seed,
-		Workers: *workers,
-	}), *csv, *json)
+		Trials: *trials,
+		Sizes:  mustParseSizes(*sizes),
+		Seed:   *seed,
+	}, experiments.Exec{Workers: *workers}), *csv, *json)
 }
 
 func runCompare(args []string) {
@@ -238,8 +235,7 @@ func runCompare(args []string) {
 		Benchmarks: *benchmarks,
 		Sizes:      mustParseSizes(*sizes),
 		Seed:       *seed,
-		Workers:    *workers,
-	}), *csv, *json)
+	}, experiments.Exec{Workers: *workers}), *csv, *json)
 }
 
 // remotePost sends one canonical request to a daemon or gateway,
@@ -373,7 +369,7 @@ func runServe(args []string) {
 
 func runAll() {
 	fmt.Println("== Fig. 2 ==")
-	experiments.Fig2Run(experiments.Fig2RunConfig{Points: 200}).Render(os.Stdout)
+	experiments.Fig2Run(experiments.Fig2RunConfig{Points: 200}, experiments.Exec{}).Render(os.Stdout)
 	fmt.Println("== Fig. 4 ==")
 	fig4, err := experiments.Fig4Run(experiments.Fig4Config{})
 	if err != nil {
@@ -382,14 +378,14 @@ func runAll() {
 	}
 	fig4.Render(os.Stdout)
 	fmt.Println("== Table I (1000 benchmarks/size) ==")
-	experiments.Table1(experiments.Table1Config{Benchmarks: 1000, DiagnoseRescues: true}).Render(os.Stdout)
+	experiments.Table1(experiments.Table1Config{Benchmarks: 1000, DiagnoseRescues: true}, experiments.Exec{}).Render(os.Stdout)
 	fmt.Println()
 	fmt.Println("== Fig. 5 (1000 benchmarks/size) ==")
-	experiments.Fig5(experiments.Fig5Config{Benchmarks: 1000}).Render(os.Stdout)
+	experiments.Fig5(experiments.Fig5Config{Benchmarks: 1000}, experiments.Exec{}).Render(os.Stdout)
 	fmt.Println()
 	fmt.Println("== Anomaly frequency (2000 trials/size) ==")
-	experiments.Anomalies(experiments.AnomalyConfig{Trials: 2000}).Render(os.Stdout)
+	experiments.Anomalies(experiments.AnomalyConfig{Trials: 2000}, experiments.Exec{}).Render(os.Stdout)
 	fmt.Println()
 	fmt.Println("== Method comparison (500 benchmarks/size) ==")
-	experiments.Compare(experiments.CompareConfig{Benchmarks: 500}).Render(os.Stdout)
+	experiments.Compare(experiments.CompareConfig{Benchmarks: 500}, experiments.Exec{}).Render(os.Stdout)
 }

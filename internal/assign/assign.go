@@ -227,6 +227,15 @@ func (s *Searcher) Backtracking(tasks []rta.Task, opt Options) Result {
 	if n > MaxTasks {
 		panic("assign: too many tasks for bitmask representation")
 	}
+	// For valid tasks (see rta.Task.Validate), L = BCRT ≥ BCET and
+	// J = WCRT − BCRT ≥ 0 at every level, so a task whose constraint
+	// fails at (BCET, 0) is stable at no level and the set has no valid
+	// assignment: fail before the exponential search.
+	for _, t := range tasks {
+		if !t.StabilitySatisfied(t.BCET, 0) {
+			return Result{}
+		}
+	}
 	res := Result{}
 	s.ev.reset(tasks, opt.Memoize, &res.Stats)
 	ev := &s.ev

@@ -96,6 +96,20 @@ func TestBacktrackingEmptyAndSingle(t *testing.T) {
 	if res := Backtracking(hopeless); res.Valid {
 		t.Fatal("hopeless task assigned")
 	}
+	// The same impossible constraint on the sixth of 12 tasks whose
+	// other 11 fit in any order: a search alone would walk the service's
+	// whole budget (2,000,037 backtracks) and answer aborted, not
+	// infeasible.
+	set := make([]rta.Task, 12)
+	for i := range set {
+		h := 0.010 + 0.001*float64(i)
+		set[i] = rta.Task{Name: fmt.Sprint("t", i), BCET: 0.0002, WCET: 0.0004, Period: h, ConA: 1, ConB: h}
+	}
+	set[5].ConB = 0.0001
+	if res := BacktrackingOpts(set, Options{Memoize: true, MaxEvaluations: 2_000_000}); res.Valid || res.Aborted {
+		t.Fatalf("12-task set with a never-stable task: valid=%v aborted=%v after %d evaluations, want a verdict of infeasible",
+			res.Valid, res.Aborted, res.Stats.Evaluations)
+	}
 }
 
 func TestUnsafeQuadraticProducesInvalidSolution(t *testing.T) {

@@ -65,6 +65,47 @@ func TestEveryHeuristicOrderPassesValidate(t *testing.T) {
 	}
 }
 
+// TestPrecheckNeverRejectsSolvableSet checks Backtracking's verdict
+// against Exhaustive on seeded sets of up to 8 tasks at most 75 %
+// utilized. All tasks but one carry the implicit-deadline constraint
+// L + J ≤ h; the tight one has con_b at 0.9, 1 or 1.1 times its BCET,
+// half the time with BCET = WCET, so that it can be stable at the top
+// level with zero jitter. A set the pre-check fails must have no valid
+// assignment, and the sampling must reach both pre-check failures and
+// solvable sets with a tight task.
+func TestPrecheckNeverRejectsSolvableSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	rejected, solvable := 0, 0
+	for trial := 0; trial < 120; trial++ {
+		n := 1 + rng.Intn(8)
+		tasks := make([]rta.Task, n)
+		for i := range tasks {
+			h := float64(1 + rng.Intn(10))
+			cw := h * 0.75 / float64(n) * rng.Float64()
+			tasks[i] = rta.Task{BCET: cw * (0.2 + 0.8*rng.Float64()), WCET: cw, Period: h, ConA: 1, ConB: h}
+		}
+		tight := &tasks[rng.Intn(n)]
+		tight.ConA = 1 + 2*rng.Float64()
+		if rng.Intn(2) == 0 {
+			tight.BCET = tight.WCET
+		}
+		tight.ConB = tight.BCET * []float64{0.9, 1, 1.1}[rng.Intn(3)]
+		ex, bt := Exhaustive(tasks), Backtracking(tasks)
+		if bt.Valid != ex.Valid {
+			t.Fatalf("trial %d: backtracking=%v exhaustive=%v on %+v", trial, bt.Valid, ex.Valid, tasks)
+		}
+		if !bt.Valid && bt.Stats.Evaluations == 0 {
+			rejected++
+		}
+		if ex.Valid {
+			solvable++
+		}
+	}
+	if rejected == 0 || solvable == 0 {
+		t.Fatalf("degenerate sampling: %d pre-check failures, %d solvable sets", rejected, solvable)
+	}
+}
+
 // TestMemoizedSlackMatchesUnmemoized pins the tentpole's memoized
 // evaluator against fresh unmemoized evaluation on 1000 random
 // (task set, candidate subset, task) queries, with every query repeated

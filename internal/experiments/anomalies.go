@@ -8,7 +8,6 @@ import (
 	"ctrlsched/internal/anomaly"
 	"ctrlsched/internal/campaign"
 	"ctrlsched/internal/rta"
-	"ctrlsched/internal/taskgen"
 )
 
 // AnomalyRow quantifies anomaly frequency at one task-set size — the
@@ -25,19 +24,10 @@ type AnomalyRow struct {
 
 // AnomalyConfig parameterizes the anomaly-frequency experiment.
 type AnomalyConfig struct {
-	Trials int   `json:"trials"`
-	Sizes  []int `json:"sizes"`
-	Seed   int64 `json:"seed"`
-	// Gen overrides the benchmark generator; nil builds one from GenSpec.
-	Gen     *taskgen.Generator `json:"-"`
-	GenSpec GenSpec            `json:"gen"`
-	// Workers is the campaign worker-pool size; 0 means all CPUs.
-	Workers int `json:"-"`
-	// Progress, when non-nil, receives monotone whole-run progress.
-	Progress ProgressFunc `json:"-"`
-	// Abort, when non-nil and closed, stops the campaign early; the
-	// partial result must then be discarded by the caller.
-	Abort <-chan struct{} `json:"-"`
+	Trials  int     `json:"trials"`
+	Sizes   []int   `json:"sizes"`
+	Seed    int64   `json:"seed"`
+	GenSpec GenSpec `json:"gen"`
 }
 
 // Normalized returns the request identity of this configuration (see
@@ -50,17 +40,6 @@ func (c AnomalyConfig) Normalized() AnomalyConfig {
 		c.Sizes = []int{4, 8, 12, 16, 20}
 	}
 	c.GenSpec = c.GenSpec.Normalized()
-	c.Gen, c.Workers, c.Progress, c.Abort = nil, 0, nil, nil
-	return c
-}
-
-func (c AnomalyConfig) withDefaults() AnomalyConfig {
-	gen, workers, progress, abort := c.Gen, c.Workers, c.Progress, c.Abort
-	c = c.Normalized()
-	c.Gen, c.Workers, c.Progress, c.Abort = gen, workers, progress, abort
-	if c.Gen == nil {
-		c.Gen = c.GenSpec.Generator()
-	}
 	return c
 }
 
@@ -83,20 +62,17 @@ type anomalyItem struct {
 // destabilizes the loop, on random control benchmarks. Trials fan out
 // over the campaign worker pool; each trial draws from its own
 // deterministic RNG, so the counts are worker-count invariant.
-func Anomalies(cfg AnomalyConfig) AnomaliesResult {
-	c := cfg.withDefaults()
+func Anomalies(cfg AnomalyConfig, x Exec) AnomaliesResult {
+	c := cfg.Normalized()
+	gen := x.generator(c.GenSpec)
 	total := len(c.Sizes) * c.Trials
 	rows := make([]AnomalyRow, 0, len(c.Sizes))
 	for si, n := range c.Sizes {
 		src := anomaly.TaskSource(func(r *rand.Rand) []rta.Task {
-			return c.Gen.TaskSet(r, n)
+			return gen.TaskSet(r, n)
 		})
-		items, _ := campaign.Map(c.Trials, campaign.Options{
-			Workers:    c.Workers,
-			Seed:       campaign.ItemSeed(c.Seed, n),
-			OnProgress: c.Progress.offset(si*c.Trials, total),
-			Abort:      c.Abort,
-		}, func(_ int, rng *rand.Rand) anomalyItem {
+		opts := x.options(campaign.ItemSeed(c.Seed, n), si*c.Trials, total)
+		items, _ := campaign.Map(c.Trials, opts, func(_ int, rng *rand.Rand) anomalyItem {
 			w, raised, counted := anomaly.OneTrial(rng, src)
 			return anomalyItem{counted: counted, raised: raised, destabilizes: raised && w.Destabilizes}
 		})
@@ -121,7 +97,7 @@ func Anomalies(cfg AnomalyConfig) AnomaliesResult {
 	}
 	return AnomaliesResult{
 		Meta:   Meta{Kind: KindAnomalies, Schema: SchemaVersion, Seed: c.Seed, Items: total},
-		Config: c.Normalized(),
+		Config: c,
 		Rows:   rows,
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"ctrlsched/internal/assign"
 	"ctrlsched/internal/campaign"
-	"ctrlsched/internal/taskgen"
 )
 
 // CompareRow reports, for one task-set size, how often each priority
@@ -27,19 +26,10 @@ type CompareRow struct {
 
 // CompareConfig parameterizes the method comparison.
 type CompareConfig struct {
-	Benchmarks int   `json:"benchmarks"`
-	Sizes      []int `json:"sizes"`
-	Seed       int64 `json:"seed"`
-	// Gen overrides the benchmark generator; nil builds one from GenSpec.
-	Gen     *taskgen.Generator `json:"-"`
-	GenSpec GenSpec            `json:"gen"`
-	// Workers is the campaign worker-pool size; 0 means all CPUs.
-	Workers int `json:"-"`
-	// Progress, when non-nil, receives monotone whole-run progress.
-	Progress ProgressFunc `json:"-"`
-	// Abort, when non-nil and closed, stops the campaign early; the
-	// partial result must then be discarded by the caller.
-	Abort <-chan struct{} `json:"-"`
+	Benchmarks int     `json:"benchmarks"`
+	Sizes      []int   `json:"sizes"`
+	Seed       int64   `json:"seed"`
+	GenSpec    GenSpec `json:"gen"`
 }
 
 // Normalized returns the request identity of this configuration (see
@@ -52,17 +42,6 @@ func (c CompareConfig) Normalized() CompareConfig {
 		c.Sizes = []int{4, 8, 12, 16, 20}
 	}
 	c.GenSpec = c.GenSpec.Normalized()
-	c.Gen, c.Workers, c.Progress, c.Abort = nil, 0, nil, nil
-	return c
-}
-
-func (c CompareConfig) withDefaults() CompareConfig {
-	gen, workers, progress, abort := c.Gen, c.Workers, c.Progress, c.Abort
-	c = c.Normalized()
-	c.Gen, c.Workers, c.Progress, c.Abort = gen, workers, progress, abort
-	if c.Gen == nil {
-		c.Gen = c.GenSpec.Generator()
-	}
 	return c
 }
 
@@ -77,18 +56,15 @@ type CompareResult struct {
 // Benchmarks fan out over the campaign worker pool with deterministic
 // per-benchmark RNGs, so every method sees the same suite and the counts
 // are worker-count invariant.
-func Compare(cfg CompareConfig) CompareResult {
-	c := cfg.withDefaults()
+func Compare(cfg CompareConfig, x Exec) CompareResult {
+	c := cfg.Normalized()
+	gen := x.generator(c.GenSpec)
 	total := len(c.Sizes) * c.Benchmarks
 	rows := make([]CompareRow, 0, len(c.Sizes))
 	for si, n := range c.Sizes {
-		outs, _ := campaign.Map(c.Benchmarks, campaign.Options{
-			Workers:    c.Workers,
-			Seed:       campaign.ItemSeed(c.Seed, n),
-			OnProgress: c.Progress.offset(si*c.Benchmarks, total),
-			Abort:      c.Abort,
-		}, func(_ int, rng *rand.Rand) assign.HeuristicOutcome {
-			return assign.CompareHeuristics(c.Gen.TaskSet(rng, n))
+		opts := x.options(campaign.ItemSeed(c.Seed, n), si*c.Benchmarks, total)
+		outs, _ := campaign.Map(c.Benchmarks, opts, func(_ int, rng *rand.Rand) assign.HeuristicOutcome {
+			return assign.CompareHeuristics(gen.TaskSet(rng, n))
 		})
 		row := CompareRow{N: n, Benchmarks: c.Benchmarks}
 		for _, out := range outs {
@@ -109,7 +85,7 @@ func Compare(cfg CompareConfig) CompareResult {
 	}
 	return CompareResult{
 		Meta:   Meta{Kind: KindCompare, Schema: SchemaVersion, Seed: c.Seed, Items: total},
-		Config: c.Normalized(),
+		Config: c,
 		Rows:   rows,
 	}
 }

@@ -20,10 +20,8 @@ func TestTable1WorkerInvariance(t *testing.T) {
 			Benchmarks:      120,
 			Sizes:           []int{4, 6},
 			Seed:            11,
-			Gen:             sharedGen,
 			DiagnoseRescues: true,
-			Workers:         workers,
-		}).Rows
+		}, Exec{Workers: workers, Gen: Fixed(sharedGen)}).Rows
 	}
 	a, b := run(1), run(8)
 	if !reflect.DeepEqual(a, b) {
@@ -37,9 +35,7 @@ func TestCompareWorkerInvariance(t *testing.T) {
 			Benchmarks: 80,
 			Sizes:      []int{4, 6},
 			Seed:       13,
-			Gen:        sharedGen,
-			Workers:    workers,
-		}).Rows
+		}, Exec{Workers: workers, Gen: Fixed(sharedGen)}).Rows
 	}
 	a, b := run(1), run(8)
 	if !reflect.DeepEqual(a, b) {
@@ -50,12 +46,10 @@ func TestCompareWorkerInvariance(t *testing.T) {
 func TestAnomaliesWorkerInvariance(t *testing.T) {
 	run := func(workers int) []AnomalyRow {
 		return Anomalies(AnomalyConfig{
-			Trials:  200,
-			Sizes:   []int{4, 6},
-			Seed:    17,
-			Gen:     sharedGen,
-			Workers: workers,
-		}).Rows
+			Trials: 200,
+			Sizes:  []int{4, 6},
+			Seed:   17,
+		}, Exec{Workers: workers, Gen: Fixed(sharedGen)}).Rows
 	}
 	a, b := run(1), run(8)
 	if !reflect.DeepEqual(a, b) {
@@ -71,9 +65,7 @@ func TestFig5WorkerInvariance(t *testing.T) {
 			Benchmarks: 40,
 			Sizes:      []int{4, 8},
 			Seed:       19,
-			Gen:        sharedGen,
-			Workers:    workers,
-		})
+		}, Exec{Workers: workers, Gen: Fixed(sharedGen)})
 		res.StripTimings()
 		return res.Rows
 	}
@@ -86,12 +78,11 @@ func TestFig5WorkerInvariance(t *testing.T) {
 func TestFig2WorkerInvariance(t *testing.T) {
 	run := func(workers int) Fig2Result {
 		return Fig2Sweep(Fig2Config{
-			Plant:   plant.HarmonicOscillator(10),
-			HMin:    0.05,
-			HMax:    1.0,
-			Points:  120,
-			Workers: workers,
-		})
+			Plant:  plant.HarmonicOscillator(10),
+			HMin:   0.05,
+			HMax:   1.0,
+			Points: 120,
+		}, Exec{Workers: workers})
 	}
 	a, b := run(1), run(8)
 	if !reflect.DeepEqual(a, b) {
@@ -102,8 +93,9 @@ func TestFig2WorkerInvariance(t *testing.T) {
 func TestSizeRowsIndependentOfSizesList(t *testing.T) {
 	// A row's numbers are keyed by (Seed, n) alone: the n=6 row must be
 	// the same whether the campaign also ran n=4 or not.
-	both := Table1(Table1Config{Benchmarks: 100, Sizes: []int{4, 6}, Seed: 23, Gen: sharedGen}).Rows
-	solo := Table1(Table1Config{Benchmarks: 100, Sizes: []int{6}, Seed: 23, Gen: sharedGen}).Rows
+	shared := Exec{Gen: Fixed(sharedGen)}
+	both := Table1(Table1Config{Benchmarks: 100, Sizes: []int{4, 6}, Seed: 23}, shared).Rows
+	solo := Table1(Table1Config{Benchmarks: 100, Sizes: []int{6}, Seed: 23}, shared).Rows
 	if !reflect.DeepEqual(both[1], solo[0]) {
 		t.Fatalf("n=6 row depends on the rest of Sizes:\nwith n=4: %+v\nalone: %+v", both[1], solo[0])
 	}
@@ -119,8 +111,7 @@ func TestEncodedBytesWorkerInvariance(t *testing.T) {
 			Sizes:      []int{4},
 			Seed:       29,
 			GenSpec:    GenSpec{GridPoints: 4},
-			Workers:    workers,
-		})
+		}, Exec{Workers: workers})
 		if err := EncodeJSON(&buf, res); err != nil {
 			t.Fatal(err)
 		}

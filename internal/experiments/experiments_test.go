@@ -88,9 +88,8 @@ func TestTable1SmallCampaign(t *testing.T) {
 		Benchmarks:      300,
 		Sizes:           []int{4, 6},
 		Seed:            7,
-		Gen:             sharedGen,
 		DiagnoseRescues: true,
-	})
+	}, Exec{Gen: Fixed(sharedGen)})
 	rows := res.Rows
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
@@ -100,9 +99,6 @@ func TestTable1SmallCampaign(t *testing.T) {
 	}
 	if res.Meta.Items != 2*300 {
 		t.Fatalf("items = %d, want 600", res.Meta.Items)
-	}
-	if res.Config.Gen != nil || res.Config.Workers != 0 {
-		t.Fatalf("result config not normalized: %+v", res.Config)
 	}
 	for _, r := range rows {
 		if r.Benchmarks != 300 {
@@ -128,7 +124,7 @@ func TestTable1SmallCampaign(t *testing.T) {
 }
 
 func TestFig5RuntimesPopulated(t *testing.T) {
-	res := Fig5(Fig5Config{Benchmarks: 60, Sizes: []int{4, 8}, Seed: 3, Gen: sharedGen})
+	res := Fig5(Fig5Config{Benchmarks: 60, Sizes: []int{4, 8}, Seed: 3}, Exec{Gen: Fixed(sharedGen)})
 	rows := res.Rows
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
@@ -156,7 +152,7 @@ func TestFig5RuntimesPopulated(t *testing.T) {
 }
 
 func TestAnomaliesExperiment(t *testing.T) {
-	res := Anomalies(AnomalyConfig{Trials: 400, Sizes: []int{4, 6}, Seed: 5, Gen: sharedGen})
+	res := Anomalies(AnomalyConfig{Trials: 400, Sizes: []int{4, 6}, Seed: 5}, Exec{Gen: Fixed(sharedGen)})
 	rows := res.Rows
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
@@ -183,7 +179,7 @@ func TestAnomaliesExperiment(t *testing.T) {
 }
 
 func TestCompareExperiment(t *testing.T) {
-	res := Compare(CompareConfig{Benchmarks: 150, Sizes: []int{4, 8}, Seed: 9, Gen: sharedGen})
+	res := Compare(CompareConfig{Benchmarks: 150, Sizes: []int{4, 8}, Seed: 9}, Exec{Gen: Fixed(sharedGen)})
 	rows := res.Rows
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))

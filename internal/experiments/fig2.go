@@ -66,7 +66,7 @@ const spikeFactor = 50
 // Fig2 sweeps the sampling period for the given plant over [hMin, hMax]
 // with the given number of points, using all CPUs.
 func Fig2(p *plant.Plant, hMin, hMax float64, points int) Fig2Result {
-	return Fig2Sweep(Fig2Config{Plant: p, HMin: hMin, HMax: hMax, Points: points})
+	return Fig2Sweep(Fig2Config{Plant: p, HMin: hMin, HMax: hMax, Points: points}, Exec{})
 }
 
 // Fig2Config parameterizes one plant's period sweep.
@@ -74,32 +74,16 @@ type Fig2Config struct {
 	Plant      *plant.Plant
 	HMin, HMax float64
 	Points     int
-	// Workers is the campaign worker-pool size; 0 means all CPUs. Every
-	// grid point is an independent LQG design, so the sweep and its
-	// refinement fan out; results are worker-count invariant.
-	Workers int
-	// Progress, when non-nil, receives base-grid progress (refinement
-	// samples, whose count is data-dependent, are not reported).
-	Progress ProgressFunc
-	// Abort, when non-nil and closed, stops the sweep early; the partial
-	// result must then be discarded by the caller.
-	Abort <-chan struct{}
-	// progressOffset and progressTotal place this sweep inside a larger
-	// run (Fig2Run evaluates several plants).
-	progressOffset, progressTotal int
 }
 
 // Fig2Sweep runs the cost-versus-period sweep: the base grid and the
 // spike-refinement samples are each evaluated on the campaign worker
 // pool (one LQG cost per item, no randomness involved), then classified
-// sequentially exactly as before.
-func Fig2Sweep(cfg Fig2Config) Fig2Result {
+// sequentially exactly as before. Every grid point is an independent
+// LQG design, so the results are worker-count invariant. Progress
+// covers the base grid only.
+func Fig2Sweep(cfg Fig2Config, x Exec) Fig2Result {
 	p, hMin, hMax, points := cfg.Plant, cfg.HMin, cfg.HMax, cfg.Points
-	total := cfg.progressTotal
-	if total == 0 {
-		total = points
-	}
-	opts := campaign.Options{Workers: cfg.Workers, Abort: cfg.Abort}
 	res := Fig2Result{Plant: p.Name}
 	if points <= 0 {
 		return res
@@ -110,9 +94,7 @@ func Fig2Sweep(cfg Fig2Config) Fig2Result {
 	for i := 1; i < points; i++ {
 		grid[i] = hMin + (hMax-hMin)*float64(i)/float64(points-1)
 	}
-	baseOpts := opts
-	baseOpts.OnProgress = cfg.Progress.offset(cfg.progressOffset, total)
-	costs, _ := campaign.MapPlain(points, baseOpts, func(i int) float64 {
+	costs, _ := campaign.MapPlain(points, x.options(0, 0, points), func(i int) float64 {
 		return lqg.CostCached(p, grid[i])
 	})
 
@@ -155,7 +137,8 @@ func Fig2Sweep(cfg Fig2Config) Fig2Result {
 			}
 		}
 	}
-	refCosts, _ := campaign.MapPlain(len(refine), opts, func(i int) float64 {
+	x.Progress = nil // the refinement's sample count is data-dependent
+	refCosts, _ := campaign.MapPlain(len(refine), x.options(0, 0, 0), func(i int) float64 {
 		return lqg.CostCached(p, refine[i])
 	})
 	for i, h := range refine {
@@ -217,14 +200,6 @@ func trimmedMean(xs []float64) float64 {
 // 0.942 s) and the DC servo over its usable range.
 type Fig2RunConfig struct {
 	Points int `json:"points"`
-	// Workers is the campaign worker-pool size; 0 means all CPUs.
-	Workers int `json:"-"`
-	// Progress, when non-nil, receives monotone base-grid progress across
-	// both sweeps.
-	Progress ProgressFunc `json:"-"`
-	// Abort, when non-nil and closed, stops the run early; the partial
-	// result must then be discarded by the caller.
-	Abort <-chan struct{} `json:"-"`
 }
 
 // Normalized returns the request identity of this configuration (see
@@ -233,7 +208,6 @@ func (c Fig2RunConfig) Normalized() Fig2RunConfig {
 	if c.Points == 0 {
 		c.Points = 400
 	}
-	c.Workers, c.Progress, c.Abort = 0, nil, nil
 	return c
 }
 
@@ -249,16 +223,16 @@ type Fig2Set struct {
 // HTTP service and the benchmarks. The sweep involves no randomness, so
 // Meta.Seed is always zero; Meta.Items counts every evaluated sample
 // including the data-dependent spike refinement.
-func Fig2Run(cfg Fig2RunConfig) Fig2Set {
+func Fig2Run(cfg Fig2RunConfig, x Exec) Fig2Set {
 	c := cfg.Normalized()
-	c.Workers, c.Progress, c.Abort = cfg.Workers, cfg.Progress, cfg.Abort
-	osc := plant.HarmonicOscillator(10)
-	servo := plant.DCServo()
+	// Progress runs across both sweeps: the servo's grid follows the
+	// oscillator's.
+	osc, servo := x, x
+	osc.Progress = x.Progress.offset(0, 2*c.Points)
+	servo.Progress = x.Progress.offset(c.Points, 2*c.Points)
 	sweeps := []Fig2Result{
-		Fig2Sweep(Fig2Config{Plant: osc, HMin: 0.01, HMax: 1.0, Points: c.Points, Workers: c.Workers,
-			Progress: c.Progress, Abort: c.Abort, progressOffset: 0, progressTotal: 2 * c.Points}),
-		Fig2Sweep(Fig2Config{Plant: servo, HMin: 0.002, HMax: 0.030, Points: c.Points, Workers: c.Workers,
-			Progress: c.Progress, Abort: c.Abort, progressOffset: c.Points, progressTotal: 2 * c.Points}),
+		Fig2Sweep(Fig2Config{Plant: plant.HarmonicOscillator(10), HMin: 0.01, HMax: 1.0, Points: c.Points}, osc),
+		Fig2Sweep(Fig2Config{Plant: plant.DCServo(), HMin: 0.002, HMax: 0.030, Points: c.Points}, servo),
 	}
 	items := 0
 	for _, s := range sweeps {
@@ -266,7 +240,7 @@ func Fig2Run(cfg Fig2RunConfig) Fig2Set {
 	}
 	return Fig2Set{
 		Meta:   Meta{Kind: KindFig2, Schema: SchemaVersion, Items: items},
-		Config: c.Normalized(),
+		Config: c,
 		Sweeps: sweeps,
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"ctrlsched/internal/assign"
 	"ctrlsched/internal/campaign"
 	"ctrlsched/internal/rta"
-	"ctrlsched/internal/taskgen"
 )
 
 // Fig5Row is one abscissa of the paper's Fig. 5: the wall-clock time each
@@ -30,25 +29,14 @@ type Fig5Row struct {
 // Fig5Config parameterizes the runtime experiment. Zero values default to
 // the paper's n = 4…20 sweep; Benchmarks defaults to 1000 per size (the
 // paper used 10 000 on a 3.6 GHz quad-core; scale up via the CLI flag to
-// match).
+// match). The suite and the evaluation counts are worker-count
+// invariant; the measured seconds are the wall-clock time of the
+// parallel campaign, so they shrink with Exec.Workers.
 type Fig5Config struct {
-	Benchmarks int   `json:"benchmarks"`
-	Sizes      []int `json:"sizes"`
-	Seed       int64 `json:"seed"`
-	// Gen overrides the benchmark generator; nil builds one from GenSpec.
-	Gen     *taskgen.Generator `json:"-"`
-	GenSpec GenSpec            `json:"gen"`
-	// Workers is the campaign worker-pool size; 0 means all CPUs. The
-	// suite and the evaluation counts are worker-count invariant; the
-	// measured seconds are the wall-clock time of the parallel campaign,
-	// so they shrink with Workers.
-	Workers int `json:"-"`
-	// Progress, when non-nil, receives monotone whole-run progress across
-	// all three passes (suite generation plus the two timed phases).
-	Progress ProgressFunc `json:"-"`
-	// Abort, when non-nil and closed, stops the campaign early; the
-	// partial result must then be discarded by the caller.
-	Abort <-chan struct{} `json:"-"`
+	Benchmarks int     `json:"benchmarks"`
+	Sizes      []int   `json:"sizes"`
+	Seed       int64   `json:"seed"`
+	GenSpec    GenSpec `json:"gen"`
 }
 
 // Normalized returns the request identity of this configuration (see
@@ -61,17 +49,6 @@ func (c Fig5Config) Normalized() Fig5Config {
 		c.Sizes = []int{4, 6, 8, 10, 12, 14, 16, 18, 20}
 	}
 	c.GenSpec = c.GenSpec.Normalized()
-	c.Gen, c.Workers, c.Progress, c.Abort = nil, 0, nil, nil
-	return c
-}
-
-func (c Fig5Config) withDefaults() Fig5Config {
-	gen, workers, progress, abort := c.Gen, c.Workers, c.Progress, c.Abort
-	c = c.Normalized()
-	c.Gen, c.Workers, c.Progress, c.Abort = gen, workers, progress, abort
-	if c.Gen == nil {
-		c.Gen = c.GenSpec.Generator()
-	}
 	return c
 }
 
@@ -107,10 +84,12 @@ func (r *Fig5Result) StripTimings() {
 // exhaustive infeasibility proofs, which the paper's figure clearly does
 // not include (its backtracking curve stays within 2 s at n = 20). The
 // filter uses a budgeted memoized search whose time is NOT counted.
-func Fig5(cfg Fig5Config) Fig5Result {
-	c := cfg.withDefaults()
-	c.Gen.WarmWorkers(c.Workers)
-	// Three passes per size: suite generation and the two timed phases.
+func Fig5(cfg Fig5Config, x Exec) Fig5Result {
+	c := cfg.Normalized()
+	gen := x.generator(c.GenSpec)
+	gen.WarmWorkers(x.Workers)
+	// Three passes per size (suite generation and the two timed phases),
+	// all reported as one run's progress.
 	total := len(c.Sizes) * c.Benchmarks * 3
 	rows := make([]Fig5Row, 0, len(c.Sizes))
 	for si, n := range c.Sizes {
@@ -119,14 +98,10 @@ func Fig5(cfg Fig5Config) Fig5Result {
 		// Rejection-sample the suite on the worker pool: benchmark k keeps
 		// drawing from its own deterministic RNG until a solvable instance
 		// appears, so the suite is identical for every worker count.
-		suite, _ := campaign.Map(c.Benchmarks, campaign.Options{
-			Workers:    c.Workers,
-			Seed:       campaign.ItemSeed(c.Seed, n),
-			OnProgress: c.Progress.offset(base, total),
-			Abort:      c.Abort,
-		}, func(_ int, rng *rand.Rand) []rta.Task {
+		opts := x.options(campaign.ItemSeed(c.Seed, n), base, total)
+		suite, _ := campaign.Map(c.Benchmarks, opts, func(_ int, rng *rand.Rand) []rta.Task {
 			for {
-				tasks := c.Gen.TaskSet(rng, n)
+				tasks := gen.TaskSet(rng, n)
 				probe := assign.BacktrackingOpts(tasks, assign.Options{
 					Memoize:        true,
 					MaxEvaluations: 5000,
@@ -140,10 +115,8 @@ func Fig5(cfg Fig5Config) Fig5Result {
 		// The timed phases run on the same pool via MapPlain: both
 		// algorithms are deterministic, and skipping per-item RNG
 		// construction keeps generator setup out of the measured window.
-		timed := campaign.Options{Workers: c.Workers, Abort: c.Abort,
-			OnProgress: c.Progress.offset(base+c.Benchmarks, total)}
 		start := time.Now()
-		uqEvals, _ := campaign.MapPlain(len(suite), timed, func(i int) int64 {
+		uqEvals, _ := campaign.MapPlain(len(suite), x.options(0, base+c.Benchmarks, total), func(i int) int64 {
 			return int64(assign.UnsafeQuadratic(suite[i]).Stats.Evaluations)
 		})
 		row.UnsafeSeconds = time.Since(start).Seconds()
@@ -151,9 +124,8 @@ func Fig5(cfg Fig5Config) Fig5Result {
 			row.UnsafeEvaluations += e
 		}
 
-		timed.OnProgress = c.Progress.offset(base+2*c.Benchmarks, total)
 		start = time.Now()
-		btStats, _ := campaign.MapPlain(len(suite), timed, func(i int) [2]int64 {
+		btStats, _ := campaign.MapPlain(len(suite), x.options(0, base+2*c.Benchmarks, total), func(i int) [2]int64 {
 			res := assign.Backtracking(suite[i])
 			return [2]int64{int64(res.Stats.Evaluations), int64(res.Stats.Backtracks)}
 		})
@@ -166,7 +138,7 @@ func Fig5(cfg Fig5Config) Fig5Result {
 	}
 	return Fig5Result{
 		Meta:   Meta{Kind: KindFig5, Schema: SchemaVersion, Seed: c.Seed, Items: total},
-		Config: c.Normalized(),
+		Config: c,
 		Rows:   rows,
 	}
 }

@@ -82,7 +82,7 @@ func TestGoldenTable1(t *testing.T) {
 		Seed:            1,
 		GenSpec:         goldenGen,
 		DiagnoseRescues: true,
-	}))
+	}, Exec{}))
 }
 
 func TestGoldenAnomalies(t *testing.T) {
@@ -91,7 +91,7 @@ func TestGoldenAnomalies(t *testing.T) {
 		Sizes:   []int{4, 8},
 		Seed:    1,
 		GenSpec: goldenGen,
-	}))
+	}, Exec{}))
 }
 
 func TestGoldenCompare(t *testing.T) {
@@ -100,7 +100,7 @@ func TestGoldenCompare(t *testing.T) {
 		Sizes:      []int{4, 8},
 		Seed:       1,
 		GenSpec:    goldenGen,
-	}))
+	}, Exec{}))
 }
 
 func TestGoldenFig5(t *testing.T) {
@@ -109,7 +109,7 @@ func TestGoldenFig5(t *testing.T) {
 		Sizes:      []int{4, 8},
 		Seed:       1,
 		GenSpec:    goldenGen,
-	})
+	}, Exec{})
 	// The seconds columns are wall-clock measurements; the golden file
 	// locks down the deterministic counts.
 	res.StripTimings()
@@ -117,7 +117,7 @@ func TestGoldenFig5(t *testing.T) {
 }
 
 func TestGoldenFig2(t *testing.T) {
-	goldenCompare(t, "fig2_120.json", Fig2Run(Fig2RunConfig{Points: 120}))
+	goldenCompare(t, "fig2_120.json", Fig2Run(Fig2RunConfig{Points: 120}, Exec{}))
 }
 
 func TestGoldenFig4(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 
+	"ctrlsched/internal/campaign"
 	"ctrlsched/internal/taskgen"
 )
 
@@ -122,11 +123,49 @@ type ProgressFunc func(done, total int)
 // offset adapts a whole-experiment ProgressFunc to one campaign's
 // OnProgress hook: the campaign's local count is shifted by the number
 // of items completed in earlier campaigns of the same run.
-func (p ProgressFunc) offset(off, total int) func(done, _ int) {
+func (p ProgressFunc) offset(off, total int) ProgressFunc {
 	if p == nil {
 		return nil
 	}
 	return func(done, _ int) { p(off+done, total) }
+}
+
+// Exec is how an experiment runs, as opposed to its config, which is
+// what it computes. No Exec field changes a deterministic result byte
+// (Fig. 5's wall-clock seconds shrink with Workers), so none is part of
+// a config's request identity.
+type Exec struct {
+	// Workers is the campaign worker-pool size; 0 means all CPUs.
+	// Results are identical for every worker count (see package
+	// campaign).
+	Workers int
+	// Progress, when non-nil, receives monotone whole-run progress.
+	Progress ProgressFunc
+	// Abort, when non-nil and closed, stops the campaign early; the
+	// partial result must then be discarded by the caller.
+	Abort <-chan struct{}
+	// Gen resolves a config's GenSpec to the benchmark generator, so a
+	// caller can reuse a warm one; nil builds a fresh generator per run.
+	Gen func(GenSpec) *taskgen.Generator
+}
+
+// Fixed is an Exec.Gen that answers g for every spec.
+func Fixed(g *taskgen.Generator) func(GenSpec) *taskgen.Generator {
+	return func(GenSpec) *taskgen.Generator { return g }
+}
+
+func (x Exec) generator(spec GenSpec) *taskgen.Generator {
+	if x.Gen == nil {
+		return spec.Generator()
+	}
+	return x.Gen(spec)
+}
+
+// options returns the engine options of one campaign of a run: its
+// item seed, and progress shifted by the off items of earlier
+// campaigns out of the run's total.
+func (x Exec) options(seed int64, off, total int) campaign.Options {
+	return campaign.Options{Workers: x.Workers, Seed: seed, OnProgress: x.Progress.offset(off, total), Abort: x.Abort}
 }
 
 // GenSpec is the JSON-serializable subset of taskgen.Config: it

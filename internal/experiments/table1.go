@@ -7,7 +7,6 @@ import (
 
 	"ctrlsched/internal/assign"
 	"ctrlsched/internal/campaign"
-	"ctrlsched/internal/taskgen"
 )
 
 // Table1Row is one row of the paper's Table I, extended with the
@@ -26,31 +25,18 @@ type Table1Row struct {
 // Table1Config parameterizes the campaign. Zero values default to the
 // paper's settings (10 000 benchmarks, n ∈ {4, 8, 12, 16, 20}).
 type Table1Config struct {
-	Benchmarks int   `json:"benchmarks"`
-	Sizes      []int `json:"sizes"`
-	Seed       int64 `json:"seed"`
-	// Gen overrides the benchmark generator; when nil one is built from
-	// GenSpec. Gen never travels in requests or cache keys (see GenSpec).
-	Gen     *taskgen.Generator `json:"-"`
-	GenSpec GenSpec            `json:"gen"`
+	Benchmarks int     `json:"benchmarks"`
+	Sizes      []int   `json:"sizes"`
+	Seed       int64   `json:"seed"`
+	GenSpec    GenSpec `json:"gen"`
 	// DiagnoseRescues runs Backtracking on every invalid output to split
 	// infeasible benchmarks from anomaly misses (costs extra time).
 	DiagnoseRescues bool `json:"diagnose_rescues"`
-	// Workers is the campaign worker-pool size; 0 means all CPUs. Results
-	// are identical for every worker count (see package campaign), so it
-	// is execution detail, not request identity.
-	Workers int `json:"-"`
-	// Progress, when non-nil, receives monotone whole-run progress.
-	Progress ProgressFunc `json:"-"`
-	// Abort, when non-nil and closed, stops the campaign early; the
-	// partial result must then be discarded by the caller.
-	Abort <-chan struct{} `json:"-"`
 }
 
 // Normalized returns the request identity of this configuration: every
-// defaultable field filled in, every execution-only field (Gen, Workers,
-// Progress, Abort) cleared. Two configs that normalize to the same value
-// produce byte-identical results.
+// defaultable field filled in. Two configs that normalize to the same
+// value produce byte-identical results.
 func (c Table1Config) Normalized() Table1Config {
 	if c.Benchmarks == 0 {
 		c.Benchmarks = 10000
@@ -59,17 +45,6 @@ func (c Table1Config) Normalized() Table1Config {
 		c.Sizes = []int{4, 8, 12, 16, 20}
 	}
 	c.GenSpec = c.GenSpec.Normalized()
-	c.Gen, c.Workers, c.Progress, c.Abort = nil, 0, nil, nil
-	return c
-}
-
-func (c Table1Config) withDefaults() Table1Config {
-	gen, workers, progress, abort := c.Gen, c.Workers, c.Progress, c.Abort
-	c = c.Normalized()
-	c.Gen, c.Workers, c.Progress, c.Abort = gen, workers, progress, abort
-	if c.Gen == nil {
-		c.Gen = c.GenSpec.Generator()
-	}
 	return c
 }
 
@@ -94,18 +69,15 @@ type table1Item struct {
 // deterministic RNG (seeded by campaign seed, task-set size, and
 // benchmark index), so a row's numbers depend only on (Seed, n,
 // Benchmarks) — not on worker count or on the other entries of Sizes.
-func Table1(cfg Table1Config) Table1Result {
-	c := cfg.withDefaults()
+func Table1(cfg Table1Config, x Exec) Table1Result {
+	c := cfg.Normalized()
+	gen := x.generator(c.GenSpec)
 	total := len(c.Sizes) * c.Benchmarks
 	rows := make([]Table1Row, 0, len(c.Sizes))
 	for si, n := range c.Sizes {
-		items, _ := campaign.Map(c.Benchmarks, campaign.Options{
-			Workers:    c.Workers,
-			Seed:       campaign.ItemSeed(c.Seed, n),
-			OnProgress: c.Progress.offset(si*c.Benchmarks, total),
-			Abort:      c.Abort,
-		}, func(_ int, rng *rand.Rand) table1Item {
-			tasks := c.Gen.TaskSet(rng, n)
+		opts := x.options(campaign.ItemSeed(c.Seed, n), si*c.Benchmarks, total)
+		items, _ := campaign.Map(c.Benchmarks, opts, func(_ int, rng *rand.Rand) table1Item {
+			tasks := gen.TaskSet(rng, n)
 			uq := assign.UnsafeQuadratic(tasks)
 			if uq.Valid {
 				return table1Item{}
@@ -137,7 +109,7 @@ func Table1(cfg Table1Config) Table1Result {
 	}
 	return Table1Result{
 		Meta:   Meta{Kind: KindTable1, Schema: SchemaVersion, Seed: c.Seed, Items: total},
-		Config: c.Normalized(),
+		Config: c,
 		Rows:   rows,
 	}
 }

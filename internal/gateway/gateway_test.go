@@ -66,7 +66,17 @@ func newFleet(t *testing.T, n int, mutate func(*Options)) *fleet {
 
 func doPost(t *testing.T, url, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	return doRequest(t, http.MethodPost, url, body)
+}
+
+func doRequest(t *testing.T, method, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,32 +104,55 @@ const multiPlantBatch = `{"items":[
 // TestConformanceByteIdentity is the acceptance gate of the tentpole:
 // for analyze, batch (split across replicas), codesign, and experiment
 // requests, the gateway's response must be byte-identical to a direct
-// single-replica response — body AND status.
+// single-replica response — body AND status. The gateway keeps its own
+// copy of the replica's body caps, so each route also gets a body one
+// byte over the replica's cap and a wrong method, whose status, Allow
+// header and body must match too.
 func TestConformanceByteIdentity(t *testing.T) {
 	direct := httptest.NewServer(service.New(service.Config{Workers: 2}).Handler())
 	defer direct.Close()
 	f := newFleet(t, 2, nil)
 
+	// The replica's body caps (service/http.go), not the gateway's copy.
+	overCap := strings.Repeat("x", 1<<20+1)
+	overBatchCap := strings.Repeat("x", 8<<20+1)
 	cases := []struct {
-		name, path, body string
+		name, method, path, body string
+		status                   int // 0: any status, as long as both sides agree
 	}{
-		{"analyze plant", "/v1/analyze", `{"plant":"dc-servo","period":0.006}`},
-		{"analyze tasks", "/v1/analyze", `{"tasks":[{"bcet":0.05,"wcet":0.1,"period":1}]}`},
-		{"analyze bad", "/v1/analyze", `{"plant":"warp-core","period":0.01}`},
-		{"batch split", "/v1/analyze/batch", multiPlantBatch},
-		{"batch empty", "/v1/analyze/batch", `{"items":[]}`},
-		{"batch malformed", "/v1/analyze/batch", `{"items":[`},
-		{"batch bad item", "/v1/analyze/batch", `{"items":[{"plant":"dc-servo","period":0.006},{"plant":"nope","period":1},{"tasks":[{"bcet":2,"wcet":1,"period":1}]}]}`},
-		{"codesign", "/v1/codesign", `{"loops":[{"plant":"dc-servo","bcet":0.00105,"wcet":0.0015,"periods":[0.006,0.008,0.012]}],"seed":7}`},
-		{"experiment", "/v1/experiments/table1", `{"benchmarks":20,"sizes":[4],"seed":3,"gen":{"grid_points":4}}`},
-		{"experiment bad kind", "/v1/experiments/table9", `{}`},
+		{"analyze plant", "POST", "/v1/analyze", `{"plant":"dc-servo","period":0.006}`, 0},
+		{"analyze tasks", "POST", "/v1/analyze", `{"tasks":[{"bcet":0.05,"wcet":0.1,"period":1}]}`, 0},
+		{"analyze bad", "POST", "/v1/analyze", `{"plant":"warp-core","period":0.01}`, 0},
+		{"batch split", "POST", "/v1/analyze/batch", multiPlantBatch, 0},
+		{"batch empty", "POST", "/v1/analyze/batch", `{"items":[]}`, 0},
+		{"batch malformed", "POST", "/v1/analyze/batch", `{"items":[`, 0},
+		{"batch bad item", "POST", "/v1/analyze/batch", `{"items":[{"plant":"dc-servo","period":0.006},{"plant":"nope","period":1},{"tasks":[{"bcet":2,"wcet":1,"period":1}]}]}`, 0},
+		{"codesign", "POST", "/v1/codesign", `{"loops":[{"plant":"dc-servo","bcet":0.00105,"wcet":0.0015,"periods":[0.006,0.008,0.012]}],"seed":7}`, 0},
+		{"experiment", "POST", "/v1/experiments/table1", `{"benchmarks":20,"sizes":[4],"seed":3,"gen":{"grid_points":4}}`, 0},
+		{"experiment bad kind", "POST", "/v1/experiments/table9", `{}`, 0},
+		{"analyze over cap", "POST", "/v1/analyze", overCap, http.StatusRequestEntityTooLarge},
+		{"batch over cap", "POST", "/v1/analyze/batch", overBatchCap, http.StatusRequestEntityTooLarge},
+		{"codesign over cap", "POST", "/v1/codesign", overCap, http.StatusRequestEntityTooLarge},
+		{"experiment over cap", "POST", "/v1/experiments/table1", overCap, http.StatusRequestEntityTooLarge},
+		{"submit over cap", "POST", "/v1/jobs", overBatchCap, http.StatusRequestEntityTooLarge},
+		{"analyze GET", "GET", "/v1/analyze", "", http.StatusMethodNotAllowed},
+		{"batch GET", "GET", "/v1/analyze/batch", "", http.StatusMethodNotAllowed},
+		{"codesign GET", "GET", "/v1/codesign", "", http.StatusMethodNotAllowed},
+		{"experiment GET", "GET", "/v1/experiments/table1", "", http.StatusMethodNotAllowed},
+		{"submit GET", "GET", "/v1/jobs", "", http.StatusMethodNotAllowed},
 	}
 	for _, tc := range cases {
-		dResp, dBody := doPost(t, direct.URL+tc.path, tc.body)
-		gResp, gBody := doPost(t, f.gw.URL+tc.path, tc.body)
+		dResp, dBody := doRequest(t, tc.method, direct.URL+tc.path, tc.body)
+		gResp, gBody := doRequest(t, tc.method, f.gw.URL+tc.path, tc.body)
 		if dResp.StatusCode != gResp.StatusCode {
 			t.Fatalf("%s: status direct=%d gateway=%d\ndirect: %s\ngateway: %s",
 				tc.name, dResp.StatusCode, gResp.StatusCode, dBody, gBody)
+		}
+		if tc.status != 0 && dResp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, dResp.StatusCode, tc.status, dBody)
+		}
+		if d, g := dResp.Header.Get("Allow"), gResp.Header.Get("Allow"); d != g {
+			t.Fatalf("%s: Allow direct=%q gateway=%q", tc.name, d, g)
 		}
 		if !bytes.Equal(dBody, gBody) {
 			t.Fatalf("%s: gateway response not byte-identical to direct replica\ndirect:  %s\ngateway: %s",

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -84,6 +85,13 @@ type storeEntry struct {
 	mtime int64 // Unix nanoseconds
 }
 
+// storeSlot is one place in the eviction order. It is stale once its
+// key left the index or was stored again under a newer mtime.
+type storeSlot struct {
+	k     Key
+	mtime int64
+}
+
 // Store is safe for concurrent use. A nil *Store is a valid disabled
 // store: every Get misses and every Put is a no-op.
 type Store struct {
@@ -94,6 +102,13 @@ type Store struct {
 	mu    sync.Mutex
 	index map[Key]storeEntry
 	bytes int64 // summed size of the index entries
+	// order holds the index's keys oldest first once retention needs
+	// them: gcLocked sorts the index into it the first time the store
+	// is over a cap or has an age bound, then Put appends. Eviction and
+	// the age bound take from its front, so a Put at the cap costs O(1),
+	// not a sort of the whole index. A store that never reaches a cap
+	// keeps it nil and spends no memory on it.
+	order []storeSlot
 
 	hits, misses, puts, putErrs, evicts, quarantined int64
 }
@@ -294,6 +309,9 @@ func (s *Store) Put(k Key, kind string, body []byte) error {
 		s.bytes -= old.size // a concurrent Put of the same key landed first
 	}
 	s.index[k] = e
+	if s.order != nil {
+		s.order = append(s.order, storeSlot{k, e.mtime})
+	}
 	s.bytes += e.size
 	s.puts++
 	s.gcLocked()
@@ -301,8 +319,9 @@ func (s *Store) Put(k Key, kind string, body []byte) error {
 	return nil
 }
 
-// GC applies the retention bounds now (age first, then oldest-first
-// until the entry and byte caps hold).
+// GC applies the retention bounds now: it evicts oldest first until
+// the oldest entry is within the age bound and the entry and byte caps
+// hold.
 func (s *Store) GC() {
 	if s == nil {
 		return
@@ -313,36 +332,37 @@ func (s *Store) GC() {
 }
 
 func (s *Store) gcLocked() {
-	if s.opt.MaxAge > 0 {
-		cutoff := time.Now().Add(-s.opt.MaxAge).UnixNano()
+	if s.order == nil {
+		if s.opt.MaxAge == 0 && len(s.index) <= s.opt.MaxEntries && s.bytes <= s.opt.MaxBytes {
+			return
+		}
+		s.order = make([]storeSlot, 0, len(s.index))
 		for k, e := range s.index {
-			if e.mtime < cutoff {
-				s.evictLocked(k)
+			s.order = append(s.order, storeSlot{k, e.mtime})
+		}
+		sort.Slice(s.order, func(i, j int) bool {
+			a, b := s.order[i], s.order[j]
+			if a.mtime != b.mtime {
+				return a.mtime < b.mtime
 			}
+			return bytes.Compare(a.k[:], b.k[:]) < 0
+		})
+	}
+	cutoff := int64(math.MinInt64)
+	if s.opt.MaxAge > 0 {
+		cutoff = time.Now().Add(-s.opt.MaxAge).UnixNano()
+	}
+	for len(s.order) > 0 {
+		front := s.order[0]
+		e, ok := s.index[front.k]
+		live := ok && e.mtime == front.mtime
+		if live && e.mtime >= cutoff && len(s.index) <= s.opt.MaxEntries && s.bytes <= s.opt.MaxBytes {
+			return
 		}
-	}
-	if len(s.index) <= s.opt.MaxEntries && s.bytes <= s.opt.MaxBytes {
-		return
-	}
-	type aged struct {
-		k Key
-		e storeEntry
-	}
-	byAge := make([]aged, 0, len(s.index))
-	for k, e := range s.index {
-		byAge = append(byAge, aged{k, e})
-	}
-	sort.Slice(byAge, func(i, j int) bool {
-		if byAge[i].e.mtime != byAge[j].e.mtime {
-			return byAge[i].e.mtime < byAge[j].e.mtime
+		s.order = s.order[1:]
+		if live {
+			s.evictLocked(front.k)
 		}
-		return bytes.Compare(byAge[i].k[:], byAge[j].k[:]) < 0
-	})
-	for _, a := range byAge {
-		if len(s.index) <= s.opt.MaxEntries && s.bytes <= s.opt.MaxBytes {
-			break
-		}
-		s.evictLocked(a.k)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -200,6 +201,12 @@ func TestStoreEntryAndByteCaps(t *testing.T) {
 	if n != s.Len() {
 		t.Fatalf("disk has %d files, index %d", n, s.Len())
 	}
+	// Eviction is oldest first: the four newest puts survive.
+	for i := 0; i < 10; i++ {
+		if _, ok := s.Get(testKey(fmt.Sprint(i))); ok != (i >= 6) {
+			t.Fatalf("entry %d stored = %v after 10 puts under a 4-entry cap", i, ok)
+		}
+	}
 
 	// Byte cap: each file is ~150 bytes of header + body; cap to roughly
 	// two files' worth and confirm the total honors it.
@@ -211,6 +218,41 @@ func TestStoreEntryAndByteCaps(t *testing.T) {
 	}
 	if st := s2.Stats(); st.Bytes > 400 {
 		t.Fatalf("byte cap violated: %d", st.Bytes)
+	}
+	if _, ok := s2.Get(testKey("7")); !ok {
+		t.Fatal("byte cap evicted the newest entry")
+	}
+	if _, ok := s2.Get(testKey("0")); ok {
+		t.Fatal("byte cap kept the oldest entry")
+	}
+
+	// A key quarantined and put again is the newest entry, so the first
+	// put's place in the eviction order must not evict it. The third put
+	// evicts, so the order is kept from then on.
+	dir3 := t.TempDir()
+	s3 := mustOpen(t, dir3, StoreOptions{MaxEntries: 2})
+	a, b, c, d := testKey("a"), testKey("b"), testKey("c"), testKey("d")
+	for _, k := range []Key{a, b, c} {
+		if err := s3.Put(k, "analyze", []byte("{}")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir3, b.String()+resExt), []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s3.Get(b); ok {
+		t.Fatal("served a damaged file")
+	}
+	for _, k := range []Key{b, d} {
+		if err := s3.Put(k, "analyze", []byte("{}")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s3.Get(b); !ok {
+		t.Fatal("re-put entry evicted in place of the oldest")
+	}
+	if _, ok := s3.Get(c); ok {
+		t.Fatal("oldest entry kept over the cap")
 	}
 }
 
@@ -291,5 +333,56 @@ func TestNilStore(t *testing.T) {
 	s.GC()
 	if s.Len() != 0 || s.Dir() != "" || s.Stats().Enabled {
 		t.Fatal("nil store not inert")
+	}
+}
+
+// noSyncFS elides fsync, as the fleet benchmark's store does, so a
+// benchmark measures the store rather than the disk's flush latency.
+type noSyncFS struct{ FS }
+
+func (fs noSyncFS) CreateTemp(dir, pattern string) (File, error) {
+	f, err := fs.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
+type noSyncFile struct{ File }
+
+func (noSyncFile) Sync() error { return nil }
+
+// BenchmarkStorePutAtCapacity compares a Put into a store below its
+// entry cap with one into a store at the default cap, where every Put
+// evicts the oldest entry. The prefill goes one past the cap, so the
+// one-time sort of the eviction order happens before timing.
+func BenchmarkStorePutAtCapacity(b *testing.B) {
+	body := bytes.Repeat([]byte("x"), 512)
+	for _, tc := range []struct {
+		name       string
+		maxEntries int
+		prefill    int
+	}{
+		{"below_cap", math.MaxInt32, 0},
+		{"at_cap", DefaultStoreEntries, DefaultStoreEntries + 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s, err := OpenStore(b.TempDir(), StoreOptions{MaxEntries: tc.maxEntries, FS: noSyncFS{OSFS()}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < tc.prefill; i++ {
+				if err := s.Put(testKey(fmt.Sprint("fill", i)), "analyze", body); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Put(testKey(fmt.Sprint(i)), "analyze", body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -118,27 +118,24 @@ var kindRows = []*kind{
 		func(s *Service, n experiments.Table1Config) error {
 			return s.checkCampaign(n.Benchmarks, n.Sizes, 1, n.GenSpec)
 		},
-		func(s *Service, c experiments.Table1Config, p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error) {
-			c.Gen, c.Workers, c.Progress, c.Abort = s.generator(c.GenSpec), s.cfg.Workers, p, abort
-			return experiments.Table1(c), nil
+		func(c experiments.Table1Config, x experiments.Exec) (experiments.Result, error) {
+			return experiments.Table1(c, x), nil
 		}),
 	experimentKind(experiments.KindAnomalies, `{"trials":4,"sizes":[4],"gen":{"grid_points":4}}`,
 		experiments.AnomalyConfig.Normalized,
 		func(s *Service, n experiments.AnomalyConfig) error {
 			return s.checkCampaign(n.Trials, n.Sizes, 1, n.GenSpec)
 		},
-		func(s *Service, c experiments.AnomalyConfig, p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error) {
-			c.Gen, c.Workers, c.Progress, c.Abort = s.generator(c.GenSpec), s.cfg.Workers, p, abort
-			return experiments.Anomalies(c), nil
+		func(c experiments.AnomalyConfig, x experiments.Exec) (experiments.Result, error) {
+			return experiments.Anomalies(c, x), nil
 		}),
 	experimentKind(experiments.KindCompare, `{"benchmarks":4,"sizes":[4],"gen":{"grid_points":4}}`,
 		experiments.CompareConfig.Normalized,
 		func(s *Service, n experiments.CompareConfig) error {
 			return s.checkCampaign(n.Benchmarks, n.Sizes, 1, n.GenSpec)
 		},
-		func(s *Service, c experiments.CompareConfig, p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error) {
-			c.Gen, c.Workers, c.Progress, c.Abort = s.generator(c.GenSpec), s.cfg.Workers, p, abort
-			return experiments.Compare(c), nil
+		func(c experiments.CompareConfig, x experiments.Exec) (experiments.Result, error) {
+			return experiments.Compare(c, x), nil
 		}),
 	experimentKind(experiments.KindFig5, `{"benchmarks":4,"sizes":[4],"gen":{"grid_points":4}}`,
 		experiments.Fig5Config.Normalized,
@@ -146,9 +143,8 @@ var kindRows = []*kind{
 			// Three passes per benchmark: suite generation plus two timed runs.
 			return s.checkCampaign(n.Benchmarks, n.Sizes, 3, n.GenSpec)
 		},
-		func(s *Service, c experiments.Fig5Config, p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error) {
-			c.Gen, c.Workers, c.Progress, c.Abort = s.generator(c.GenSpec), s.cfg.Workers, p, abort
-			r := experiments.Fig5(c)
+		func(c experiments.Fig5Config, x experiments.Exec) (experiments.Result, error) {
+			r := experiments.Fig5(c, x)
 			// The wall-clock columns are the one non-deterministic part of
 			// any experiment; the service's byte-identical-response promise
 			// requires serving only the deterministic counts.
@@ -167,9 +163,8 @@ var kindRows = []*kind{
 			}
 			return nil
 		},
-		func(s *Service, c experiments.Fig2RunConfig, p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error) {
-			c.Workers, c.Progress, c.Abort = s.cfg.Workers, p, abort
-			return experiments.Fig2Run(c), nil
+		func(c experiments.Fig2RunConfig, x experiments.Exec) (experiments.Result, error) {
+			return experiments.Fig2Run(c, x), nil
 		}),
 	experimentKind(experiments.KindFig4, `{"periods":[0.006],"latency_points":8}`,
 		experiments.Fig4Config.Normalized,
@@ -187,7 +182,7 @@ var kindRows = []*kind{
 			}
 			return nil
 		},
-		func(s *Service, c experiments.Fig4Config, _ experiments.ProgressFunc, _ <-chan struct{}) (experiments.Result, error) {
+		func(c experiments.Fig4Config, _ experiments.Exec) (experiments.Result, error) {
 			return experiments.Fig4Run(c)
 		}),
 }
@@ -252,13 +247,15 @@ var codesignKind = &kind{
 }
 
 // experimentKind builds the row of one experiment: every tier, progress
-// in ~1% steps. Only the config type, its validation, and the run step
-// differ per experiment.
+// in ~1% steps, and one Exec for every run: the service's workers and
+// pooled generators, the request's progress sink and cancellation. Only
+// the config type, its validation, and the run step differ per
+// experiment.
 func experimentKind[T any](
 	name, example string,
 	normalize func(T) T,
 	validate func(s *Service, norm T) error,
-	run func(s *Service, norm T, p experiments.ProgressFunc, abort <-chan struct{}) (experiments.Result, error),
+	run func(norm T, x experiments.Exec) (experiments.Result, error),
 ) *kind {
 	return &kind{
 		name: name, maxBody: maxBodyBytes, stream: true, progress: percentSteps,
@@ -273,7 +270,8 @@ func experimentKind[T any](
 				return request{}, err
 			}
 			return request{key: makeKey(name, canonical), run: func(ctx context.Context, out sink) (experiments.Result, bool, error) {
-				res, err := run(s, norm, out.progress, ctx.Done())
+				x := experiments.Exec{Workers: s.cfg.Workers, Progress: out.progress, Abort: ctx.Done(), Gen: s.generator}
+				res, err := run(norm, x)
 				return res, false, err
 			}}, nil
 		},

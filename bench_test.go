@@ -44,6 +44,7 @@ import (
 	"ctrlsched/internal/codesign"
 	"ctrlsched/internal/cosim"
 	"ctrlsched/internal/experiments"
+	"ctrlsched/internal/gateway"
 	"ctrlsched/internal/jitter"
 	"ctrlsched/internal/kmemo"
 	"ctrlsched/internal/lqg"
@@ -303,6 +304,57 @@ func BenchmarkAnalyzeBatch64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		body := []byte(`{"items":[` + strings.Join(benchBatchItems(64), ",") + `]}`)
 		benchPost(b, srv.URL+"/v1/analyze/batch", body)
+	}
+	b.ReportMetric(float64(64*b.N)/b.Elapsed().Seconds(), "items/s")
+}
+
+// BenchmarkGatewayBatch64 prices the gateway hop of a batch: one 64-item
+// /v1/analyze/batch request through gateway.New in front of two
+// in-process replicas. The items are 48 plant queries over every library
+// plant and 16 plantless task sets, so the batch splits across both
+// replicas; one request before the timer puts every item in its owner's
+// result LRU, so the replicas' envelopes, the gateway's merge and the
+// transport are what is measured.
+func BenchmarkGatewayBatch64(b *testing.B) {
+	plants := []string{"dc-servo", "inverted-pendulum", "double-integrator", "stable-lag", "fast-servo"}
+	items := make([]string, 0, 64)
+	for i := 0; i < 48; i++ {
+		items = append(items, fmt.Sprintf(`{"plant":%q,"period":%g}`, plants[i%len(plants)], 0.004+float64(i/len(plants))*0.0005))
+	}
+	for i := 0; i < 16; i++ {
+		items = append(items, fmt.Sprintf(`{"tasks":[{"bcet":0.001,"wcet":0.002,"period":%g},{"bcet":0.002,"wcet":0.004,"period":0.05}]}`, 0.01+float64(i)*0.001))
+	}
+	body := []byte(`{"items":[` + strings.Join(items, ",") + `]}`)
+
+	var urls []string
+	var batches [2]atomic.Int64
+	for i := range batches {
+		h := service.New(service.Config{}).Handler()
+		calls := &batches[i]
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/analyze/batch" {
+				calls.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		defer srv.Close()
+		urls = append(urls, srv.URL)
+	}
+	g, err := gateway.New(gateway.Options{Replicas: urls})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.CheckReplicas(context.Background())
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+	benchPost(b, gw.URL+"/v1/analyze/batch", body) // warm both result LRUs outside the timer
+	if batches[0].Load() != 1 || batches[1].Load() != 1 {
+		b.Fatalf("batch did not split across both replicas: %d / %d sub-batches", batches[0].Load(), batches[1].Load())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPost(b, gw.URL+"/v1/analyze/batch", body)
 	}
 	b.ReportMetric(float64(64*b.N)/b.Elapsed().Seconds(), "items/s")
 }

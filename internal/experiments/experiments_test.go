@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -229,6 +230,37 @@ func TestNonFiniteEncoding(t *testing.T) {
 	var f Float
 	if err := json.Unmarshal([]byte(`"nan"`), &f); err != nil || !math.IsNaN(float64(f)) {
 		t.Fatalf("nan round trip: %v %v", f, err)
+	}
+}
+
+// TestFloatMarshalMatchesEncodingJSON pins Float's own formatter to the
+// bytes encoding/json writes for a float64: seeded bit patterns cover
+// every exponent range, and the edges sit at the switch between plain
+// and exponent form.
+func TestFloatMarshalMatchesEncodingJSON(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 5e-324, 1e-7, 1e-6, math.Nextafter(1e-6, 0),
+		1e20, 1e21, math.Nextafter(1e21, 0), math.MaxFloat64, -math.MaxFloat64,
+		-1e-7, 1.5e-9, 123456789, 0.1, 1.0 / 3,
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4000; i++ {
+		vals = append(vals, math.Float64frombits(rng.Uint64()))
+		// Values a result holds: a mantissa scaled across the cutoffs.
+		vals = append(vals, (rng.Float64()-0.5)*math.Pow(10, float64(rng.Intn(60)-30)))
+	}
+	for _, v := range vals {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			continue
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Float(v).MarshalJSON()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Float(%v) = %s, %v; encoding/json writes %s (bits %#x)", v, got, err, want, math.Float64bits(v))
+		}
 	}
 }
 

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"ctrlsched/internal/campaign"
 	"ctrlsched/internal/taskgen"
@@ -59,9 +61,27 @@ type Result interface {
 // no timestamps), which the service layer relies on: identical requests
 // must produce byte-identical responses.
 func EncodeJSON(w io.Writer, r Result) error {
-	enc := json.NewEncoder(w)
+	b, err := AppendJSON(nil, r)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// AppendJSON appends the bytes EncodeJSON writes for r to dst. A result
+// that holds parts already in canonical form (a batch's encoded items)
+// writes itself through its own AppendJSON method, which must produce
+// exactly those bytes; every other result goes through encoding/json.
+func AppendJSON(dst []byte, r Result) ([]byte, error) {
+	if a, ok := r.(interface{ AppendJSON([]byte) []byte }); ok {
+		return a.AppendJSON(dst), nil
+	}
+	buf := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
-	return enc.Encode(r)
+	err := enc.Encode(r)
+	return buf.Bytes(), err
 }
 
 // EncodeIndentedJSON writes the two-space-indented encoding used for the
@@ -80,7 +100,10 @@ func EncodeIndentedJSON(w io.Writer, r Result) error {
 // (see formatFloat), so the two machine-readable encodings agree.
 type Float float64
 
-// MarshalJSON encodes non-finite values as strings.
+// MarshalJSON encodes non-finite values as strings and finite ones
+// exactly as encoding/json encodes a float64: the shortest
+// representation, in exponent form below 1e-6 and from 1e21 up, with
+// the exponent's leading zero dropped (e-09 becomes e-9).
 func (f Float) MarshalJSON() ([]byte, error) {
 	v := float64(f)
 	switch {
@@ -91,7 +114,16 @@ func (f Float) MarshalJSON() ([]byte, error) {
 	case math.IsNaN(v):
 		return []byte(`"nan"`), nil
 	}
-	return json.Marshal(v)
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(make([]byte, 0, 24), v, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // UnmarshalJSON accepts both plain numbers and the non-finite strings.

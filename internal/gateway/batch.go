@@ -22,9 +22,10 @@ import (
 // memos cold. Instead the gateway routes each item by its own plant
 // fingerprint, posts one sub-batch per owning replica, and merges the
 // answers back in item order. The merged body is byte-identical to a
-// single replica's response for the same batch: items are canonical
-// encodings that never cross a replica boundary un-reencoded, and the
-// envelope is rebuilt with the same encoder the replicas use.
+// single replica's response for the same batch: each sub-batch body is
+// validated once and its item bytes are cut out of it unchanged
+// (splitItems), and the envelope is written by the one function the
+// replicas write theirs with, service.BatchResult.AppendJSON.
 
 // kindAnalyzeBatch mirrors the service's (unexported) batch kind tag.
 const kindAnalyzeBatch = "analyze_batch"
@@ -225,14 +226,12 @@ func (g *Gateway) scatterBuffered(w http.ResponseWriter, r *http.Request, groups
 	merged := make([]json.RawMessage, n)
 	allHit := true
 	for gi, res := range results {
-		var sub struct {
-			Items []json.RawMessage `json:"items"`
-		}
-		if err := json.Unmarshal(res.body, &sub); err != nil || len(sub.Items) != len(groups[gi].indices) {
+		items, ok := splitItems(res.body)
+		if !ok || len(items) != len(groups[gi].indices) {
 			writeErr(w, http.StatusBadGateway, "internal", "replica returned an unmergeable batch body", 0)
 			return
 		}
-		for li, item := range sub.Items {
+		for li, item := range items {
 			merged[groups[gi].indices[li]] = item
 		}
 		if res.header.Get("X-Cache") != "hit" {
@@ -243,18 +242,112 @@ func (g *Gateway) scatterBuffered(w http.ResponseWriter, r *http.Request, groups
 		Meta:  experiments.Meta{Kind: kindAnalyzeBatch, Schema: experiments.SchemaVersion, Items: n},
 		Items: merged,
 	}
-	var buf bytes.Buffer
-	if err := experiments.EncodeJSON(&buf, out); err != nil {
-		writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	if allHit {
 		w.Header().Set("X-Cache", "hit")
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(out.AppendJSON(nil))
+}
+
+// splitItems returns the elements of a batch envelope's top-level
+// "items" array as sub-slices of body, in one scan after one validity
+// check. It accepts a body only where json.Unmarshal into
+// struct{ Items []json.RawMessage } gives the same elements: valid JSON
+// whose top level is an object with exactly one key encoding/json would
+// match to Items (case-insensitively; a key holding an escape is
+// refused outright), and that key's value is an array.
+func splitItems(body []byte) (items []json.RawMessage, ok bool) {
+	if !json.Valid(body) {
+		return nil, false
+	}
+	i := skipSpace(body, 0)
+	if body[i] != '{' {
+		return nil, false
+	}
+	for i = skipSpace(body, i+1); body[i] != '}'; {
+		end := skipString(body, i)
+		key := body[i+1 : end-1]
+		i = skipSpace(body, skipSpace(body, end)+1) // past the colon
+		switch {
+		case bytes.IndexByte(key, '\\') >= 0:
+			return nil, false
+		case bytes.EqualFold(key, []byte("items")):
+			if ok || body[i] != '[' {
+				return nil, false
+			}
+			ok = true
+			for i = skipSpace(body, i+1); body[i] != ']'; {
+				end := skipValue(body, i)
+				items = append(items, body[i:end:end])
+				if i = skipSpace(body, end); body[i] == ',' {
+					i = skipSpace(body, i+1)
+				}
+			}
+			i++
+		default:
+			i = skipValue(body, i)
+		}
+		if i = skipSpace(body, i); body[i] == ',' {
+			i = skipSpace(body, i+1)
+		}
+	}
+	return items, ok
+}
+
+// The scanners below walk bytes json.Valid has accepted, so they never
+// meet a malformed token or run off the end of the body.
+
+// skipSpace returns the index of the first non-whitespace byte at or
+// after i.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// skipString returns the index just past the string opening at b[i].
+func skipString(b []byte, i int) int {
+	for i++; b[i] != '"'; i++ {
+		if b[i] == '\\' {
+			i++
+		}
+	}
+	return i + 1
+}
+
+// skipValue returns the index just past the value starting at b[i],
+// tracking the nesting depth of objects and arrays.
+func skipValue(b []byte, i int) int {
+	switch b[i] {
+	case '"':
+		return skipString(b, i)
+	case '{', '[':
+		for depth := 0; ; {
+			switch b[i] {
+			case '"':
+				i = skipString(b, i)
+				continue
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return i + 1
+				}
+			}
+			i++
+		}
+	}
+	// A number, true, false or null runs to the next delimiter.
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case ',', ']', '}', ' ', '\t', '\n', '\r':
+			return i
+		}
+	}
+	return i
 }
 
 // errMessage extracts the message field of an error envelope body.

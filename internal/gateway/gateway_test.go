@@ -31,12 +31,22 @@ type fleet struct {
 
 func newFleet(t *testing.T, n int, mutate func(*Options)) *fleet {
 	t.Helper()
+	return newWrappedFleet(t, n, mutate, nil)
+}
+
+// newWrappedFleet is newFleet with replica i's handler replaced by
+// wrap(i, handler) when wrap is non-nil.
+func newWrappedFleet(t *testing.T, n int, mutate func(*Options), wrap func(int, http.Handler) http.Handler) *fleet {
+	t.Helper()
 	f := &fleet{t: t}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		s := service.New(service.Config{Workers: 2, MaxConcurrent: 4, CacheEntries: 64})
 		count := &atomic.Int64{}
 		h := s.Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if strings.HasPrefix(r.URL.Path, "/v1/") {
 				count.Add(1)

@@ -45,7 +45,7 @@ const (
 }`
 )
 
-func readGolden(t *testing.T, name string) []byte {
+func readGolden(t testing.TB, name string) []byte {
 	t.Helper()
 	path := filepath.Join("..", "service", "testdata", "golden", name)
 	b, err := os.ReadFile(path)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 
 	"ctrlsched/internal/campaign"
 	"ctrlsched/internal/experiments"
@@ -51,6 +52,35 @@ func (r BatchRequest) normalize() (BatchRequest, error) {
 	return r, nil
 }
 
+// canonical marshals every item once and joins them into the batch's
+// canonical bytes, equal to json.Marshal(r): the batch key is hashed
+// from them, and items[i] — a sub-slice of them, equal to
+// json.Marshal(r.Items[i]) — keys item i.
+func (r BatchRequest) canonical() (batch []byte, items [][]byte, err error) {
+	var buf bytes.Buffer
+	buf.WriteString(`{"items":[`)
+	enc := json.NewEncoder(&buf) // escapes HTML, like json.Marshal
+	spans := make([][2]int, len(r.Items))
+	for i, item := range r.Items {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		spans[i][0] = buf.Len()
+		if err := enc.Encode(item); err != nil {
+			return nil, nil, fmt.Errorf("service: canonicalize: %w", err)
+		}
+		buf.Truncate(buf.Len() - 1) // Encode's newline
+		spans[i][1] = buf.Len()
+	}
+	buf.WriteString(`]}`)
+	batch = buf.Bytes()
+	items = make([][]byte, len(r.Items))
+	for i, sp := range spans {
+		items[i] = batch[sp[0]:sp[1]:sp[1]]
+	}
+	return batch, items, nil
+}
+
 // BatchResult is the typed response of /v1/analyze/batch. Items[i] holds
 // the canonical AnalyzeResult bytes of request item i, or the
 // deterministic error envelope {"error":"..."} when that item fails at
@@ -63,6 +93,39 @@ type BatchResult struct {
 
 // Kind identifies the request kind that produced this result.
 func (r BatchResult) Kind() string { return kindAnalyzeBatch }
+
+// AppendJSON appends the envelope's canonical encoding to dst: the
+// bytes encoding/json writes for r with HTML escaping off, newline
+// included. Only Meta goes through encoding/json; each item is copied
+// as it is, so it must already be compact JSON, as every replica's item
+// bytes are. Replicas and the gateway's batch merge both write their
+// envelopes here.
+func (r BatchResult) AppendJSON(dst []byte) []byte {
+	n := 128 + len(r.Items) // Meta's encoding is about 60 bytes
+	for _, item := range r.Items {
+		n += len(item)
+	}
+	buf := bytes.NewBuffer(append(slices.Grow(dst, n), `{"meta":`...))
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(r.Meta) // strings and ints: never fails
+	dst = buf.Bytes()
+	dst = dst[:len(dst)-1] // Encode's newline
+	if r.Items == nil {
+		return append(dst, `,"items":null}`+"\n"...)
+	}
+	dst = append(dst, `,"items":[`...)
+	for i, item := range r.Items {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if item == nil {
+			item = json.RawMessage("null")
+		}
+		dst = append(dst, item...)
+	}
+	return append(dst, "]}\n"...)
+}
 
 // batchItemError is the in-band envelope of one failed item.
 type batchItemError struct {
@@ -148,15 +211,11 @@ func (s *Service) AnalyzeBatch(ctx context.Context, raw []byte, onItem BatchItem
 // runBatch computes one batch: every item is served as an analyze
 // request, and out.item receives them in item order while the pool
 // keeps computing ahead.
-func (s *Service) runBatch(ctx context.Context, norm []AnalyzeRequest, out sink) (experiments.Result, bool, error) {
+func (s *Service) runBatch(ctx context.Context, norm []AnalyzeRequest, canonical [][]byte, out sink) (experiments.Result, bool, error) {
 	n := len(norm)
 	items := make([]request, n)
 	for i, item := range norm {
-		canonical, err := canonicalBytes(item)
-		if err != nil {
-			return nil, false, err
-		}
-		items[i] = s.analyzeItem(item, canonical)
+		items[i] = s.analyzeItem(item, canonical[i])
 		items[i].kind = analyzeKind
 	}
 	outcomes := make([]batchOutcome, n)

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"ctrlsched/internal/experiments"
 )
 
 var updateGolden = flag.Bool("update", false, "regenerate golden files instead of comparing")
@@ -460,5 +463,148 @@ func TestGoldenAnalyzeBatch(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatalf("batch response deviates from %s.\nIf the change is intentional, regenerate with `go test ./internal/service -run TestGolden -update` and commit the diff.\ngot:\n%s", path, got)
+	}
+}
+
+// seededBatchBody builds a batch of n task-set items from rng. Task
+// names hold the characters encoding/json escapes differently with and
+// without HTML escaping, so the canonical request bytes and the echoed
+// requests in the results both carry them.
+func seededBatchBody(rng *rand.Rand, n int) []byte {
+	names := []string{"", "a", "<b>&c", `q"uote\`, "line\u2028sep\u2029", "ünï ✓"}
+	methods := []string{"", "backtracking", "unsafe", "rm"}
+	req := BatchRequest{Items: make([]AnalyzeRequest, n)}
+	for i := range req.Items {
+		if rng.Intn(4) == 0 {
+			req.Items[i] = AnalyzeRequest{Plant: "dc-servo", Period: 0.004 + float64(rng.Intn(40))*1e-4}
+			continue
+		}
+		tasks := make([]TaskSpec, 1+rng.Intn(4))
+		for j := range tasks {
+			period := 0.01 * float64(1+rng.Intn(50))
+			wcet := period * (0.01 + 0.1*rng.Float64())
+			tasks[j] = TaskSpec{Name: names[rng.Intn(len(names))], BCET: wcet * (0.1 + 0.9*rng.Float64()), WCET: wcet, Period: period}
+			if j > 0 && tasks[j].Name != "" {
+				tasks[j].Name += fmt.Sprint(j) // distinct names within a set
+			}
+		}
+		req.Items[i] = AnalyzeRequest{Tasks: tasks, Method: methods[rng.Intn(len(methods))]}
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestBatchCanonicalMatchesMarshal pins the batch's request identity:
+// the canonical bytes prepare assembles from items marshalled once equal
+// json.Marshal of the normalized request, and each item's slice of them
+// equals json.Marshal of that item. Batch keys, item keys and store
+// addresses are hashed from these bytes, so they stay what they were.
+func TestBatchCanonicalMatchesMarshal(t *testing.T) {
+	s := newTestService()
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 40; trial++ {
+		raw := seededBatchBody(rng, 1+rng.Intn(24))
+		norm, err := decodeStrict[BatchRequest](raw)
+		if err == nil {
+			norm, err = norm.normalize()
+		}
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, raw)
+		}
+		batch, items, err := norm.canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(batch, want) {
+			t.Fatalf("trial %d: canonical batch bytes\n%s\nwant json.Marshal's\n%s", trial, batch, want)
+		}
+		for i, item := range norm.Items {
+			if w, _ := json.Marshal(item); !bytes.Equal(items[i], w) {
+				t.Fatalf("trial %d item %d: canonical bytes\n%s\nwant\n%s", trial, i, items[i], w)
+			}
+		}
+		req, err := batchKind.prepare(s, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.key != makeKey(kindAnalyzeBatch, want) {
+			t.Fatalf("trial %d: prepared batch key differs from the key of json.Marshal's bytes", trial)
+		}
+	}
+}
+
+// TestBatchResultAppendJSONMatchesEncoder pins the envelope writer that
+// replicas and the gateway share to the bytes encoding/json writes for
+// the same BatchResult with HTML escaping off: real item bytes from
+// seeded batches, error envelopes whose messages need escaping (both as
+// json.Marshal writes them and with the characters left raw), metas
+// whose kind needs escaping, and empty and nil item lists.
+func TestBatchResultAppendJSONMatchesEncoder(t *testing.T) {
+	s := newTestService()
+	rng := rand.New(rand.NewSource(3))
+	var real []json.RawMessage
+	for i := 0; i < 3; i++ {
+		b, _ := mustBatch(t, s, seededBatchBody(rng, 12))
+		var res BatchResult
+		if err := json.Unmarshal(b, &res); err != nil {
+			t.Fatal(err)
+		}
+		real = append(real, res.Items...)
+	}
+	msgs := []string{"<script>&amp;</script>", `say "hi" \ bye`, "line\u2028sep\u2029para", "ctl\t\x01", "ünï ✓", ""}
+	errItem := func() json.RawMessage {
+		msg := msgs[rng.Intn(len(msgs))]
+		if rng.Intn(2) == 0 {
+			env, err := json.Marshal(batchItemError{Error: msg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return env
+		}
+		return json.RawMessage("{\"error\":\"raw <&> \u2028\"}")
+	}
+	cases := []BatchResult{
+		{Meta: experiments.Meta{Kind: kindAnalyzeBatch, Schema: experiments.SchemaVersion}},
+		{Meta: experiments.Meta{Kind: kindAnalyzeBatch, Schema: experiments.SchemaVersion}, Items: []json.RawMessage{}},
+	}
+	for trial := 0; trial < 60; trial++ {
+		items := make([]json.RawMessage, rng.Intn(40))
+		for i := range items {
+			if rng.Intn(4) == 0 {
+				items[i] = errItem()
+			} else {
+				items[i] = real[rng.Intn(len(real))]
+			}
+		}
+		meta := experiments.Meta{Kind: kindAnalyzeBatch, Schema: experiments.SchemaVersion, Seed: rng.Int63() - rng.Int63(), Items: len(items)}
+		if trial%6 == 0 {
+			meta.Kind = msgs[rng.Intn(len(msgs))]
+		}
+		cases = append(cases, BatchResult{Meta: meta, Items: items})
+	}
+	for i, r := range cases {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.AppendJSON(nil); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("case %d: AppendJSON wrote\n%q\nencoding/json writes\n%q", i, got, want.Bytes())
+		}
+		if got := r.AppendJSON([]byte("prefix")); !bytes.Equal(got, append([]byte("prefix"), want.Bytes()...)) {
+			t.Fatalf("case %d: AppendJSON does not append to dst: %q", i, got)
+		}
+		var got bytes.Buffer
+		if err := experiments.EncodeJSON(&got, r); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("case %d: EncodeJSON wrote %q, %v", i, got.Bytes(), err)
+		}
 	}
 }

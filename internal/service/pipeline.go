@@ -220,12 +220,19 @@ var batchKind = &kind{
 	tiers:   tierPool | tierStore,
 	example: `{"items":[{"tasks":[{"bcet":0.001,"wcet":0.002,"period":0.01}]},{"plant":"dc-servo","period":0.006}]}`,
 	prep: func(s *Service, raw []byte) (request, error) {
-		norm, canonical, err := decodeNormalized(raw, BatchRequest.normalize)
+		norm, err := decodeStrict[BatchRequest](raw)
+		if err == nil {
+			norm, err = norm.normalize()
+		}
+		if err != nil {
+			return request{}, err
+		}
+		canonical, items, err := norm.canonical()
 		if err != nil {
 			return request{}, err
 		}
 		return request{key: makeKey(kindAnalyzeBatch, canonical), items: len(norm.Items), run: func(ctx context.Context, out sink) (experiments.Result, bool, error) {
-			return s.runBatch(ctx, norm.Items, out)
+			return s.runBatch(ctx, norm.Items, items, out)
 		}}, nil
 	},
 }
@@ -467,11 +474,10 @@ func (s *Service) execute(ctx context.Context, req *request, out sink) ([]byte, 
 	if err := ctx.Err(); err != nil {
 		return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled during execution: " + err.Error()}
 	}
-	var buf bytes.Buffer
-	if err := experiments.EncodeJSON(&buf, res); err != nil {
+	b, err := experiments.AppendJSON(nil, res)
+	if err != nil {
 		return nil, false, err
 	}
-	b := buf.Bytes()
 	if t&tierLRU != 0 {
 		s.cache.put(req.key, b)
 	}

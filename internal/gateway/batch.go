@@ -27,9 +27,6 @@ import (
 // (splitItems), and the envelope is written by the one function the
 // replicas write theirs with, service.BatchResult.AppendJSON.
 
-// kindAnalyzeBatch mirrors the service's (unexported) batch kind tag.
-const kindAnalyzeBatch = "analyze_batch"
-
 // batchGroup is the slice of a batch owned by one replica.
 type batchGroup struct {
 	rep     *replica
@@ -99,13 +96,13 @@ func (grp *batchGroup) subBody() []byte {
 // forward whole, keeping every response byte-identical to a direct
 // replica's. Everything else scatter-gathers.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := readCapped(r, maxBatchBodyBytes)
+	body, err := readCapped(r, service.MaxBatchBodyBytes)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", "read body: "+err.Error(), 0)
 		return
 	}
 	forwardWhole := func() {
-		g.proxy(w, r, func() *replica { return g.pick(kindAnalyzeBatch, body) }, body)
+		g.proxy(w, r, func() *replica { return g.pick(service.BatchResult{}.Kind(), body) }, body)
 	}
 	if r.Method != http.MethodPost || g.opt.NoAffinity {
 		forwardWhole()
@@ -125,8 +122,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		forwardWhole()
 		return
 	}
-	stream := r.URL.Query().Get("stream")
-	if stream == "1" || stream == "true" {
+	if service.WantsStream(r) {
 		g.scatterStream(w, r, groups, len(items))
 		return
 	}
@@ -170,7 +166,7 @@ func (g *Gateway) scatterBuffered(w http.ResponseWriter, r *http.Request, groups
 				return
 			}
 			defer resp.Body.Close()
-			b, rerr := io.ReadAll(io.LimitReader(resp.Body, maxBatchBodyBytes*4))
+			b, rerr := io.ReadAll(io.LimitReader(resp.Body, service.MaxBatchBodyBytes*4))
 			if rerr != nil {
 				results[gi] = subResult{netErr: true}
 				return
@@ -239,7 +235,7 @@ func (g *Gateway) scatterBuffered(w http.ResponseWriter, r *http.Request, groups
 		}
 	}
 	out := service.BatchResult{
-		Meta:  experiments.Meta{Kind: kindAnalyzeBatch, Schema: experiments.SchemaVersion, Items: n},
+		Meta:  experiments.Meta{Kind: service.BatchResult{}.Kind(), Schema: experiments.SchemaVersion, Items: n},
 		Items: merged,
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -33,14 +33,6 @@ import (
 	"ctrlsched/internal/service"
 )
 
-// Body caps mirror the replica limits: the gateway reads one byte past
-// the cap and forwards, so an oversized body still produces the
-// replica's canonical 413 envelope.
-const (
-	maxBodyBytes      = 1 << 20
-	maxBatchBodyBytes = 8 << 20
-)
-
 // Options configures a Gateway.
 type Options struct {
 	// Replicas lists the ctrlschedd base URLs (e.g.
@@ -317,9 +309,9 @@ func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", g.handleHealth)
 	mux.HandleFunc("/readyz", g.handleReady)
-	mux.HandleFunc("/v1/analyze", g.handleRouted("analyze", maxBodyBytes))
+	mux.HandleFunc("/v1/analyze", g.handleRouted("analyze", service.MaxBodyBytes))
 	mux.HandleFunc("/v1/analyze/batch", g.handleBatch)
-	mux.HandleFunc("/v1/codesign", g.handleRouted("codesign", maxBodyBytes))
+	mux.HandleFunc("/v1/codesign", g.handleRouted("codesign", service.MaxBodyBytes))
 	mux.HandleFunc("/v1/experiments/", g.handleExperiment)
 	mux.HandleFunc("/v1/jobs", g.handleSubmit)
 	mux.HandleFunc("/v1/jobs/", g.handleJob)
@@ -336,7 +328,7 @@ func (g *Gateway) Handler() http.Handler {
 // exempt — they are open-ended by design and terminate through drain or
 // client disconnect.
 func (g *Gateway) routeDeadline(r *http.Request) time.Duration {
-	if v := r.URL.Query().Get("stream"); v == "1" || v == "true" {
+	if service.WantsStream(r) {
 		return 0
 	}
 	path := r.URL.Path
@@ -539,7 +531,7 @@ func (g *Gateway) handleRouted(kind string, limit int64) http.HandlerFunc {
 // handleExperiment spreads experiment campaigns round-robin: they carry
 // no plant affinity (Monte-Carlo task sets), so load balance wins.
 func (g *Gateway) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	body, err := readCapped(r, maxBodyBytes)
+	body, err := readCapped(r, service.MaxBodyBytes)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", "read body: "+err.Error(), 0)
 		return
@@ -551,7 +543,7 @@ func (g *Gateway) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // request — a job lands on the same replica its synchronous twin would,
 // so the shard's kernel memo and result caches serve both surfaces.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readCapped(r, maxBatchBodyBytes)
+	body, err := readCapped(r, service.MaxBatchBodyBytes)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", "read body: "+err.Error(), 0)
 		return
@@ -575,7 +567,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // identical not-found envelopes, so the response stays byte-identical
 // to a direct miss).
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
-	body, err := readCapped(r, maxBodyBytes)
+	body, err := readCapped(r, service.MaxBodyBytes)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", "read body: "+err.Error(), 0)
 		return

@@ -4,7 +4,8 @@
 // synchronous v1 endpoints and the /v1/jobs surface share it — a job is
 // just a named handle on the same deterministic computation, so a
 // job's result bytes are byte-identical to the synchronous response
-// for the same canonical request.
+// for the same canonical request. The service alone reads and writes
+// the store; the job registry never touches it.
 //
 // The package is deliberately service-agnostic: it knows nothing about
 // HTTP, experiment kinds, or request canonicalization. The service

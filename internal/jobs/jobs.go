@@ -14,11 +14,11 @@ import (
 //
 //	running → done | failed | canceled | interrupted
 //
-// done/failed/canceled/interrupted are terminal. A job whose key is
-// already in the durable store is born done (FromStore true) without
-// running at all. Interrupted is reached only through crash recovery:
-// a journaled job the restarted process could not (or was told not to)
-// re-run surfaces in this state instead of vanishing.
+// done/failed/canceled/interrupted are terminal. Every job starts
+// running, including one its runner will answer from a cache.
+// Interrupted is reached only through crash recovery: a journaled job
+// the restarted process could not (or was told not to) re-run surfaces
+// in this state instead of vanishing.
 type State string
 
 const (
@@ -48,8 +48,8 @@ var (
 )
 
 // DefaultMaxJobs bounds how many jobs the registry tracks; beyond it
-// the oldest finished jobs are forgotten (their results stay in the
-// durable store — only the id-addressed handle goes away).
+// the oldest finished jobs are forgotten (only the id-addressed handle
+// goes away, not any result the runner's caches hold).
 const DefaultMaxJobs = 256
 
 // Job is one tracked computation. All fields behind mu; use the
@@ -61,12 +61,11 @@ type Job struct {
 
 	cancel context.CancelFunc
 
-	mu        sync.Mutex
-	state     State
-	fromStore bool
-	canceled  bool // DELETE arrived; a failing runner becomes "canceled"
-	created   time.Time
-	finished  time.Time
+	mu       sync.Mutex
+	state    State
+	canceled bool // DELETE arrived; a failing runner becomes "canceled"
+	created  time.Time
+	finished time.Time
 
 	// Progress is coalesced out of the event log: emits of type
 	// "progress" update these fields instead of appending, so a
@@ -90,7 +89,6 @@ type Status struct {
 	Kind       string     `json:"kind"`
 	Key        string     `json:"key"`
 	State      State      `json:"state"`
-	FromStore  bool       `json:"from_store"`
 	Done       int        `json:"done,omitempty"`
 	Total      int        `json:"total,omitempty"`
 	CreatedAt  string     `json:"created_at"`
@@ -107,7 +105,6 @@ func (j *Job) Status() Status {
 		Kind:      j.Kind,
 		Key:       j.Key.String(),
 		State:     j.state,
-		FromStore: j.fromStore,
 		Done:      j.done,
 		Total:     j.total,
 		CreatedAt: j.created.UTC().Format(time.RFC3339Nano),
@@ -255,15 +252,14 @@ type EngineStats struct {
 	Canceled    int64 `json:"canceled"`
 	Interrupted int64 `json:"interrupted"`
 	Recovered   int64 `json:"recovered"`
-	FromStore   int64 `json:"from_store"`
 	Tracked     int   `json:"tracked"`
 	Draining    bool  `json:"draining"`
 }
 
-// Engine tracks jobs and owns the durable store plus the crash-recovery
-// journal. Safe for concurrent use.
+// Engine tracks jobs and owns the crash-recovery journal. It never
+// reads or writes results itself: a job's runner decides where its
+// result comes from and where it is kept. Safe for concurrent use.
 type Engine struct {
-	store   *Store
 	journal *Journal
 	maxJobs int
 
@@ -272,26 +268,21 @@ type Engine struct {
 	order    []string // insertion order, for registry eviction
 	draining bool
 
-	submitted, running, doneN, failedN, canceledN, fromStore int64
-	interruptedN, recoveredN                                 int64
+	submitted, running, doneN, failedN, canceledN int64
+	interruptedN, recoveredN                      int64
 
 	wg sync.WaitGroup
 }
 
-// NewEngine builds an engine over store (nil disables persistence —
-// jobs still run, results just die with the process) and jrn (nil
-// disables crash recovery — a hard crash then loses in-flight jobs, as
-// before the journal existed). maxJobs bounds the registry; 0 means
-// DefaultMaxJobs.
-func NewEngine(store *Store, maxJobs int, jrn *Journal) *Engine {
+// NewEngine builds an engine over jrn (nil disables crash recovery — a
+// hard crash then loses in-flight jobs, as before the journal existed).
+// maxJobs bounds the registry; 0 means DefaultMaxJobs.
+func NewEngine(maxJobs int, jrn *Journal) *Engine {
 	if maxJobs <= 0 {
 		maxJobs = DefaultMaxJobs
 	}
-	return &Engine{store: store, journal: jrn, maxJobs: maxJobs, jobs: make(map[string]*Job)}
+	return &Engine{journal: jrn, maxJobs: maxJobs, jobs: make(map[string]*Job)}
 }
-
-// Store returns the engine's durable store (nil when disabled).
-func (e *Engine) Store() *Store { return e.store }
 
 // Journal returns the engine's intent journal (nil when disabled).
 func (e *Engine) Journal() *Journal { return e.journal }
@@ -316,12 +307,10 @@ func newJob(id, kind string, key Key) *Job {
 	}
 }
 
-// Submit registers and starts one job. When the durable store already
-// holds the key's result the job is born done without running — that
-// is the restart path: a resubmitted request after a daemon restart is
-// served from disk, byte-identical, with no recompute. raw is the
-// job's canonical request body, journaled alongside the intent so a
-// crashed submission can be re-enqueued verbatim on the next start.
+// Submit registers and starts one job: it journals the intent and runs
+// run on an engine goroutine. raw is the job's canonical request body,
+// journaled alongside the intent so a crashed submission can be
+// re-enqueued verbatim on the next start.
 func (e *Engine) Submit(kind string, key Key, raw []byte, run Runner) (*Job, error) {
 	e.mu.Lock()
 	if e.draining {
@@ -338,40 +327,18 @@ func (e *Engine) Submit(kind string, key Key, raw []byte, run Runner) (*Job, err
 	e.submitted++
 	e.mu.Unlock()
 
-	if e.finishFromStore(j, key) {
-		return j, nil
-	}
-
 	// The intent must be on disk (fsynced) before the runner starts:
 	// from here a hard crash leaves a begin without an end, which the
 	// next OpenJournal surfaces for recovery. A failing journal append
 	// degrades crash recovery only — the job still runs.
 	_ = e.journal.Begin(Intent{ID: j.ID, Kind: kind, Key: key, Request: raw})
-	e.start(j, kind, key, run)
+	e.start(j, run)
 	return j, nil
-}
-
-// finishFromStore completes j straight from the durable store when the
-// key's result is already persisted.
-func (e *Engine) finishFromStore(j *Job, key Key) bool {
-	b, ok := e.store.Get(key)
-	if !ok {
-		return false
-	}
-	j.mu.Lock()
-	j.fromStore = true
-	j.mu.Unlock()
-	j.finishOK(b, true)
-	e.mu.Lock()
-	e.doneN++
-	e.fromStore++
-	e.mu.Unlock()
-	return true
 }
 
 // start launches j's runner on an engine goroutine and journals the end
 // record once the job reaches a terminal state.
-func (e *Engine) start(j *Job, kind string, key Key, run Runner) {
+func (e *Engine) start(j *Job, run Runner) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j.cancel = cancel
 	e.mu.Lock()
@@ -385,7 +352,6 @@ func (e *Engine) start(j *Job, kind string, key Key, run Runner) {
 		if fail != nil {
 			j.finishErr(fail)
 		} else {
-			_ = e.store.Put(key, kind, b)
 			j.finishOK(b, hit)
 		}
 		_ = e.journal.End(j.ID)
@@ -408,16 +374,14 @@ func (e *Engine) start(j *Job, kind string, key Key, run Runner) {
 
 // Recover resolves the journal's live intents — jobs that were accepted
 // but not terminal when the previous process died. Call once at
-// startup, before the engine takes traffic. Each intent lands in
-// exactly one of three places, so accepted work is never silently
-// dropped:
+// startup, before the engine takes traffic. Each intent has one of two
+// outcomes, so accepted work is never silently dropped:
 //
-//  1. The store already holds the key's result (the crash happened
-//     after persist, or an identical request completed since): the job
-//     is born done from disk, byte-identical.
-//  2. resubmit is true and prepare can rebuild a runner from the
-//     journaled request: the job re-runs under its original ID.
-//  3. Otherwise the job surfaces as the typed `interrupted` terminal
+//  1. resubmit is true and prepare can rebuild a runner from the
+//     journaled request: the job re-runs under its original ID. A
+//     runner whose result was already kept (the crash came after it)
+//     answers from there without recomputing.
+//  2. Otherwise the job surfaces as the typed `interrupted` terminal
 //     state.
 func (e *Engine) Recover(intents []Intent, resubmit bool, prepare func(kind string, raw []byte) (Runner, error)) {
 	for _, in := range intents {
@@ -435,13 +399,9 @@ func (e *Engine) Recover(intents []Intent, resubmit bool, prepare func(kind stri
 		e.recoveredN++
 		e.mu.Unlock()
 
-		if e.finishFromStore(j, in.Key) {
-			_ = e.journal.End(j.ID)
-			continue
-		}
 		if resubmit && prepare != nil {
 			if run, err := prepare(in.Kind, in.Request); err == nil {
-				e.start(j, in.Kind, in.Key, run)
+				e.start(j, run)
 				continue
 			}
 		}
@@ -543,7 +503,6 @@ func (e *Engine) Stats() EngineStats {
 		Canceled:    e.canceledN,
 		Interrupted: e.interruptedN,
 		Recovered:   e.recoveredN,
-		FromStore:   e.fromStore,
 		Tracked:     len(e.jobs),
 		Draining:    e.draining,
 	}

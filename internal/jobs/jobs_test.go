@@ -25,7 +25,7 @@ func waitTerminal(t *testing.T, j *Job) {
 }
 
 func TestJobDoneFSM(t *testing.T) {
-	e := NewEngine(nil, 0, nil)
+	e := NewEngine(0, nil)
 	body := []byte(`{"v":1}`)
 	j, err := e.Submit("analyze", testKey("done"), nil, immediateRunner(body))
 	if err != nil {
@@ -37,7 +37,7 @@ func TestJobDoneFSM(t *testing.T) {
 		t.Fatalf("Result = %q %v %v %v", b, state, fail, ok)
 	}
 	st := j.Status()
-	if st.State != StateDone || st.Kind != "analyze" || st.FinishedAt == "" || st.FromStore {
+	if st.State != StateDone || st.Kind != "analyze" || st.FinishedAt == "" {
 		t.Fatalf("Status = %+v", st)
 	}
 	es := e.Stats()
@@ -51,7 +51,7 @@ func TestJobDoneFSM(t *testing.T) {
 // channel is its closed finish channel and a watcher sees it terminal,
 // and that canceling it is still a harmless no-op.
 func TestFinishedJobHoldsNoRunState(t *testing.T) {
-	e := NewEngine(nil, 0, nil)
+	e := NewEngine(0, nil)
 	j, err := e.Submit("analyze", testKey("released"), nil, immediateRunner([]byte(`{}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestFinishedJobHoldsNoRunState(t *testing.T) {
 }
 
 func TestJobFailedKeepsClassifiedError(t *testing.T) {
-	e := NewEngine(nil, 0, nil)
+	e := NewEngine(0, nil)
 	info := &ErrorInfo{Code: "bad_request", Message: "loop 0: empty grid"}
 	j, err := e.Submit("codesign", testKey("fail"), nil, func(ctx context.Context, emit func(Event)) ([]byte, bool, *ErrorInfo) {
 		return nil, false, info
@@ -103,7 +103,7 @@ func TestJobFailedKeepsClassifiedError(t *testing.T) {
 }
 
 func TestJobCancel(t *testing.T) {
-	e := NewEngine(nil, 0, nil)
+	e := NewEngine(0, nil)
 	started := make(chan struct{})
 	j, err := e.Submit("table1", testKey("cancel"), nil, func(ctx context.Context, emit func(Event)) ([]byte, bool, *ErrorInfo) {
 		close(started)
@@ -133,44 +133,12 @@ func TestJobCancel(t *testing.T) {
 	}
 }
 
-func TestJobBornDoneFromStore(t *testing.T) {
-	store := mustOpen(t, t.TempDir(), StoreOptions{})
-	k := testKey("stored")
-	body := []byte(`{"persisted":true}`)
-	if err := store.Put(k, "codesign", body); err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(store, 0, nil)
-	ran := false
-	j, err := e.Submit("codesign", k, nil, func(ctx context.Context, emit func(Event)) ([]byte, bool, *ErrorInfo) {
-		ran = true
-		return nil, false, &ErrorInfo{Code: "internal", Message: "should not run"}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, j)
-	if ran {
-		t.Fatal("runner ran despite a stored result")
-	}
-	b, state, _, ok := j.Result()
-	if !ok || state != StateDone || string(b) != string(body) {
-		t.Fatalf("Result = %q %v %v", b, state, ok)
-	}
-	if !j.Status().FromStore {
-		t.Fatal("FromStore not reported")
-	}
-	if e.Stats().FromStore != 1 {
-		t.Fatalf("Stats = %+v", e.Stats())
-	}
-}
-
 // TestJobWatchReplaysAndCoalesces drives the subscriber protocol: a
 // late watcher gets one fresh progress line (not the full history),
 // item events replay in order, and the stream ends with the terminal
 // event set.
 func TestJobWatchReplaysAndCoalesces(t *testing.T) {
-	e := NewEngine(nil, 0, nil)
+	e := NewEngine(0, nil)
 	release := make(chan struct{})
 	emitted := make(chan struct{})
 	j, err := e.Submit("analyze_batch", testKey("watch"), nil, func(ctx context.Context, emit func(Event)) ([]byte, bool, *ErrorInfo) {
@@ -244,7 +212,7 @@ func TestJobWatchReplaysAndCoalesces(t *testing.T) {
 }
 
 func TestJobWatchSingleResultAppendsCacheAndResult(t *testing.T) {
-	e := NewEngine(nil, 0, nil)
+	e := NewEngine(0, nil)
 	j, err := e.Submit("analyze", testKey("single"), nil, immediateRunner([]byte(`{"x":1}`+"\n")))
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +233,7 @@ func TestJobWatchSingleResultAppendsCacheAndResult(t *testing.T) {
 }
 
 func TestEngineDrain(t *testing.T) {
-	e := NewEngine(nil, 0, nil)
+	e := NewEngine(0, nil)
 	blocked := make(chan struct{})
 	j, err := e.Submit("table1", testKey("drain"), nil, func(ctx context.Context, emit func(Event)) ([]byte, bool, *ErrorInfo) {
 		close(blocked)
@@ -294,7 +262,7 @@ func TestEngineDrain(t *testing.T) {
 }
 
 func TestEngineRegistryEviction(t *testing.T) {
-	e := NewEngine(nil, 2, nil)
+	e := NewEngine(2, nil)
 	j1, _ := e.Submit("analyze", testKey("1"), nil, immediateRunner([]byte("{}")))
 	waitTerminal(t, j1)
 	j2, _ := e.Submit("analyze", testKey("2"), nil, immediateRunner([]byte("{}")))
@@ -312,7 +280,7 @@ func TestEngineRegistryEviction(t *testing.T) {
 	}
 
 	// Registry full of running jobs refuses new submissions.
-	e2 := NewEngine(nil, 1, nil)
+	e2 := NewEngine(1, nil)
 	hold := make(chan struct{})
 	started := make(chan struct{})
 	_, err = e2.Submit("analyze", testKey("hold"), nil, func(ctx context.Context, emit func(Event)) ([]byte, bool, *ErrorInfo) {

@@ -220,7 +220,7 @@ func TestJournalNilIsDisabled(t *testing.T) {
 func TestEngineJournalsCrashFrontier(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openTestJournal(t, dir)
-	e := NewEngine(nil, 8, j)
+	e := NewEngine(8, j)
 	raw := []byte(`{"plant":"dc-servo","period":0.006}`)
 	block := make(chan struct{})
 	jb, err := e.Submit("analyze", testKey("crash"), raw, func(ctx context.Context, emit func(Event)) ([]byte, bool, *ErrorInfo) {
@@ -246,33 +246,12 @@ func TestEngineJournalsCrashFrontier(t *testing.T) {
 	waitTerminal(t, jb)
 }
 
-// TestEngineRecoverThreeWays drives Recover through its three
-// resolutions: store hit → born done, resubmit → re-run under the
-// original ID, no resubmit → typed interrupted.
-func TestEngineRecoverThreeWays(t *testing.T) {
-	t.Run("store hit is born done", func(t *testing.T) {
-		store := mustOpen(t, t.TempDir(), StoreOptions{})
-		body := []byte(`{"answer":42}`)
-		if err := store.Put(testKey("hit"), "analyze", body); err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(store, 8, nil)
-		e.Recover([]Intent{{ID: "r1", Kind: "analyze", Key: testKey("hit")}}, true, nil)
-		jb, ok := e.Get("r1")
-		if !ok {
-			t.Fatal("recovered job not registered")
-		}
-		waitTerminal(t, jb)
-		b, state, _, _ := jb.Result()
-		if state != StateDone || !bytes.Equal(b, body) {
-			t.Fatalf("state=%s body=%q, want done with stored bytes", state, b)
-		}
-		if !jb.Status().FromStore {
-			t.Fatal("store-hit recovery must be marked from_store")
-		}
-	})
+// TestEngineRecoverTwoWays drives Recover through its two outcomes:
+// resubmit → re-run under the original ID, no resubmit → typed
+// interrupted.
+func TestEngineRecoverTwoWays(t *testing.T) {
 	t.Run("resubmit re-runs under the original id", func(t *testing.T) {
-		e := NewEngine(nil, 8, nil)
+		e := NewEngine(8, nil)
 		raw := []byte(`{"n":7}`)
 		var gotKind string
 		var gotRaw []byte
@@ -294,7 +273,7 @@ func TestEngineRecoverThreeWays(t *testing.T) {
 		}
 	})
 	t.Run("interrupt policy parks the job as interrupted", func(t *testing.T) {
-		e := NewEngine(nil, 8, nil)
+		e := NewEngine(8, nil)
 		e.Recover([]Intent{{ID: "r3", Kind: "analyze", Key: testKey("park")}}, false, nil)
 		jb, ok := e.Get("r3")
 		if !ok {

@@ -336,7 +336,7 @@ func TestBatchBodyLimits(t *testing.T) {
 		items[i] = item
 	}
 	body := `{"items":[` + strings.Join(items, ",") + `]}`
-	if len(body) <= maxBodyBytes {
+	if len(body) <= MaxBodyBytes {
 		t.Fatalf("test body only %d bytes; does not exercise the batch cap", len(body))
 	}
 	resp, err := http.Post(srv.URL+"/v1/analyze/batch", "application/json", strings.NewReader(body))
@@ -349,7 +349,7 @@ func TestBatchBodyLimits(t *testing.T) {
 	}
 
 	// Truly oversized bodies still 413.
-	huge := body + strings.Repeat(" ", maxBatchBodyBytes)
+	huge := body + strings.Repeat(" ", MaxBatchBodyBytes)
 	resp, err = http.Post(srv.URL+"/v1/analyze/batch", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)

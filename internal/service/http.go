@@ -22,12 +22,13 @@ import (
 	"ctrlsched/internal/kmemo"
 )
 
-// maxBodyBytes bounds request bodies; analysis configs are tiny. Batch
-// bodies get a larger cap: a full MaxBatchItems batch of wide task sets
-// runs to several MB, and the documented item limit must be reachable.
+// MaxBodyBytes bounds request bodies; analysis configs are tiny. Batch
+// bodies and job submissions get a larger cap: a full MaxBatchItems
+// batch of wide task sets runs to several MB, and the documented item
+// limit must be reachable. The gateway reads bodies with the same caps.
 const (
-	maxBodyBytes      = 1 << 20
-	maxBatchBodyBytes = 8 << 20
+	MaxBodyBytes      = 1 << 20
+	MaxBatchBodyBytes = 8 << 20
 )
 
 // Handler mounts the service's HTTP API:
@@ -258,7 +259,7 @@ func (s *Service) handleCompute(w http.ResponseWriter, r *http.Request, k *kind)
 		return
 	}
 	req, err := k.prepare(s, body)
-	if flusher, ok := w.(http.Flusher); ok && err == nil && k.stream && wantsStream(r) {
+	if flusher, ok := w.(http.Flusher); ok && err == nil && k.stream && WantsStream(r) {
 		s.writeStream(r.Context(), w, flusher, &req)
 		return
 	}
@@ -272,8 +273,9 @@ func (s *Service) handleCompute(w http.ResponseWriter, r *http.Request, k *kind)
 	writeResult(w, b, hit)
 }
 
-// wantsStream reports whether r asks for a chunked ?stream=1 response.
-func wantsStream(r *http.Request) bool {
+// WantsStream reports whether r asks for a chunked ?stream=1 response.
+// The gateway asks the same question to route and time a request.
+func WantsStream(r *http.Request) bool {
 	v := r.URL.Query().Get("stream")
 	return v == "1" || v == "true"
 }

@@ -106,7 +106,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"malformed config", "POST", "/v1/experiments/table1", `{"benchmarks":"many"}`, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/experiments/table1", `{"benchmark":1}`, http.StatusBadRequest},
 		{"malformed analyze", "POST", "/v1/analyze", `{"tasks":[`, http.StatusBadRequest},
-		{"oversized body", "POST", "/v1/analyze", `{"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"oversized body", "POST", "/v1/analyze", `{"pad":"` + strings.Repeat("x", MaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
 		{"empty analyze", "POST", "/v1/analyze", `{}`, http.StatusBadRequest},
 		{"GET analyze", "GET", "/v1/analyze", "", http.StatusMethodNotAllowed},
 		{"POST healthz", "POST", "/healthz", "", http.StatusMethodNotAllowed},

@@ -15,11 +15,12 @@ import (
 // the synchronous endpoints understand — analyze, analyze_batch,
 // codesign, or any experiment kind — validates it at admission (a bad
 // request fails the POST with a 400, not the job), and runs it on the
-// same pool, caches, and campaign-abort plumbing. A job's result bytes
-// are byte-identical to the synchronous response for the same
-// canonical request; both are persisted under the same content
-// address, so either surface can serve a result the other computed,
-// including across daemon restarts.
+// same pool, caches, and campaign-abort plumbing. A job's runner is the
+// synchronous pipeline itself, so its result bytes are byte-identical
+// to the synchronous response for the same canonical request, and
+// either surface can serve a result the other computed: from the
+// result cache, or for the stored kinds (codesign and the experiments)
+// from the durable store, including across daemon restarts.
 
 // SubmitRequest is the body of POST /v1/jobs.
 type SubmitRequest struct {
@@ -92,7 +93,7 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, methodNotAllowed(http.MethodPost))
 		return
 	}
-	body, err := readBody(w, r, maxBatchBodyBytes)
+	body, err := readBody(w, r, MaxBatchBodyBytes)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -140,7 +141,7 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 			writeError(w, jobNotFound(id))
 			return
 		}
-		if wantsStream(r) {
+		if WantsStream(r) {
 			s.streamJob(w, r, j)
 			return
 		}

@@ -319,7 +319,7 @@ func TestRouteConformance(t *testing.T) {
 	srv := httptest.NewServer(newTestService().Handler())
 	defer srv.Close()
 
-	oversized := `{"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	oversized := `{"pad":"` + strings.Repeat("x", MaxBodyBytes) + `"}`
 	cases := []struct {
 		name, method, path, body string
 		status                   int
@@ -430,8 +430,8 @@ func TestJobRestartDurability(t *testing.T) {
 
 	s2 := New(cfg)
 
-	// A resubmitted codesign job is born done from the durable store:
-	// no recompute, byte-identical bytes.
+	// A resubmitted codesign job is answered from the durable store:
+	// byte-identical bytes, one store hit, no recompute.
 	j, err := s2.SubmitJob(kindCodesign, []byte(codesignBody))
 	if err != nil {
 		t.Fatal(err)
@@ -441,24 +441,24 @@ func TestJobRestartDurability(t *testing.T) {
 	if !ok || state != jobs.StateDone {
 		t.Fatalf("restarted job state %v", state)
 	}
-	if !j.Status().FromStore {
-		t.Fatal("restarted job recomputed instead of serving from the store")
-	}
 	if !bytes.Equal(b, want) {
 		t.Fatal("restarted job bytes differ from the pre-restart response")
 	}
+	if hits := s2.store.Stats().Hits; hits != 1 {
+		t.Fatalf("result_store.hits = %d after the job, want 1", hits)
+	}
 
-	// The synchronous path read-throughs the same stored result.
+	// The synchronous path then hits the result the store read cached.
 	got, hit, err := s2.Codesign(context.Background(), []byte(codesignBody), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit || !bytes.Equal(got, want) {
-		t.Fatalf("sync read-through: hit=%v match=%v", hit, bytes.Equal(got, want))
+		t.Fatalf("sync after restart: hit=%v match=%v", hit, bytes.Equal(got, want))
 	}
 
-	// /healthz reports the durable stats: stored entries and job
-	// counters.
+	// /healthz reports the durable stats, the job counters, and that
+	// nothing was recomputed.
 	srv := httptest.NewServer(s2.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -467,16 +467,20 @@ func TestJobRestartDurability(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var h struct {
+		Stats       Stats            `json:"stats"`
 		ResultStore jobs.StoreStats  `json:"result_store"`
 		Jobs        jobs.EngineStats `json:"jobs"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if !h.ResultStore.Enabled || h.ResultStore.Entries < 1 {
+	if !h.ResultStore.Enabled || h.ResultStore.Entries < 1 || h.ResultStore.Hits != 1 {
 		t.Fatalf("result_store stats %+v", h.ResultStore)
 	}
-	if h.Jobs.Submitted < 1 || h.Jobs.FromStore < 1 {
+	if h.Stats.CacheMisses != 0 {
+		t.Fatalf("stats.cache_misses = %d: the restarted service recomputed", h.Stats.CacheMisses)
+	}
+	if h.Jobs.Submitted != 1 {
 		t.Fatalf("jobs stats %+v", h.Jobs)
 	}
 }

@@ -191,7 +191,7 @@ var kindRows = []*kind{
 // their batch holds one, so a slot here could deadlock a batch against
 // its own queued items. Results are cheap to recompute and never stored.
 var analyzeKind = &kind{
-	name: kindAnalyze, route: "/v1/analyze", maxBody: maxBodyBytes,
+	name: kindAnalyze, route: "/v1/analyze", maxBody: MaxBodyBytes,
 	tiers:   tierLRU | tierFlight,
 	example: `{"tasks":[{"bcet":0.001,"wcet":0.002,"period":0.01}]}`,
 	prep: func(s *Service, raw []byte) (request, error) {
@@ -213,11 +213,11 @@ func (s *Service) analyzeItem(norm AnalyzeRequest, canonical []byte) request {
 }
 
 // batchKind holds one pool slot for all its items. Items are cached one
-// by one, so the envelope skips the LRU and the flight map; the store
-// read-through lets a restarted daemon answer a repeated batch.
+// by one, so the envelope skips the LRU, the flight map and the store: a
+// repeated batch is rebuilt from its cached items.
 var batchKind = &kind{
-	name: kindAnalyzeBatch, route: "/v1/analyze/batch", maxBody: maxBatchBodyBytes, stream: true,
-	tiers:   tierPool | tierStore,
+	name: kindAnalyzeBatch, route: "/v1/analyze/batch", maxBody: MaxBatchBodyBytes, stream: true,
+	tiers:   tierPool,
 	example: `{"items":[{"tasks":[{"bcet":0.001,"wcet":0.002,"period":0.01}]},{"plant":"dc-servo","period":0.006}]}`,
 	prep: func(s *Service, raw []byte) (request, error) {
 		norm, err := decodeStrict[BatchRequest](raw)
@@ -238,7 +238,7 @@ var batchKind = &kind{
 }
 
 var codesignKind = &kind{
-	name: kindCodesign, route: "/v1/codesign", maxBody: maxBodyBytes, stream: true, progress: everyEvent,
+	name: kindCodesign, route: "/v1/codesign", maxBody: MaxBodyBytes, stream: true, progress: everyEvent,
 	tiers:   tierLRU | tierFlight | tierPool | tierStore,
 	example: `{"loops":[{"plant":"dc-servo","bcet":0.0005,"wcet":0.001,"periods":[0.006,0.008]}],"horizon":0.1}`,
 	prep: func(s *Service, raw []byte) (request, error) {
@@ -265,7 +265,7 @@ func experimentKind[T any](
 	run func(norm T, x experiments.Exec) (experiments.Result, error),
 ) *kind {
 	return &kind{
-		name: name, maxBody: maxBodyBytes, stream: true, progress: percentSteps,
+		name: name, maxBody: MaxBodyBytes, stream: true, progress: percentSteps,
 		tiers:   tierLRU | tierFlight | tierPool | tierStore,
 		example: example,
 		prep: func(s *Service, raw []byte) (request, error) {
@@ -307,7 +307,7 @@ func experimentByName(name string) *kind {
 	if k, ok := kindTable[name]; ok && k.route == "" {
 		return k
 	}
-	return &kind{name: name, maxBody: maxBodyBytes, prep: func(*Service, []byte) (request, error) {
+	return &kind{name: name, maxBody: MaxBodyBytes, prep: func(*Service, []byte) (request, error) {
 		return request{}, &Error{Status: http.StatusNotFound, Msg: fmt.Sprintf("unknown experiment kind %q", name)}
 	}}
 }
@@ -369,9 +369,8 @@ func (s *Service) serve(ctx context.Context, req *request, out sink) ([]byte, bo
 		}
 		// Durable-store read-through: a restarted daemon serves prior
 		// results byte-identical without recompute. Verified reads only; a
-		// damaged file quarantines and the request recomputes. Stored bytes
-		// carry no item lines, so a request that wants them skips the read.
-		if t&tierStore != 0 && out.item == nil {
+		// damaged file quarantines and the request recomputes.
+		if t&tierStore != 0 {
 			if b, ok := s.store.Get(jobs.Key(req.key)); ok {
 				if t&tierLRU != 0 {
 					s.cache.put(req.key, b)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,12 +25,13 @@ func kindURL(base string, k *kind) string {
 }
 
 // submitAndFetch runs body as a kind job over HTTP and returns the
-// status and bytes of its /v1/jobs/{id}/result.
-func submitAndFetch(t *testing.T, s *Service, base, name, body string) (int, []byte) {
+// status and bytes of its /v1/jobs/{id}/result, and the event types of
+// its replayed ?stream=1 other than progress.
+func submitAndFetch(t *testing.T, s *Service, base, name, body string) (int, []byte, []string) {
 	t.Helper()
 	resp, b := post(t, base+"/v1/jobs", `{"kind":"`+name+`","request":`+body+`}`)
 	if resp.StatusCode != http.StatusAccepted {
-		return resp.StatusCode, b
+		return resp.StatusCode, b, nil
 	}
 	var st jobs.Status
 	if err := json.Unmarshal(b, &st); err != nil {
@@ -40,6 +42,12 @@ func submitAndFetch(t *testing.T, s *Service, base, name, body string) (int, []b
 		t.Fatalf("job %s not registered", st.ID)
 	}
 	waitJob(t, j)
+	stream, err := http.Get(base + "/v1/jobs/" + st.ID + "?stream=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	types := eventTypes(readEvents(t, stream.Body))
 	res, err := http.Get(base + "/v1/jobs/" + st.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
@@ -49,13 +57,44 @@ func submitAndFetch(t *testing.T, s *Service, base, name, body string) (int, []b
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.StatusCode, got
+	return res.StatusCode, got, types
+}
+
+// readEvents parses a typed event stream and drops its progress lines,
+// whose number depends on timing.
+func readEvents(t *testing.T, r io.Reader) []jobs.Event {
+	t.Helper()
+	var evs []jobs.Event
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var ev jobs.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+		}
+		if ev.Type != jobs.EventProgress {
+			evs = append(evs, ev)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+func eventTypes(evs []jobs.Event) []string {
+	types := make([]string, len(evs))
+	for i, ev := range evs {
+		types[i] = ev.Type
+	}
+	return types
 }
 
 // streamResult posts body with ?stream=1 and rebuilds the buffered
 // response from the lines: the result line's bytes, or a batch's item
-// lines reassembled into the envelope.
-func streamResult(t *testing.T, url, body string) []byte {
+// lines reassembled into the envelope. It also returns the stream's
+// event types other than progress.
+func streamResult(t *testing.T, url, body string) ([]byte, []string) {
 	t.Helper()
 	resp, err := http.Post(url+"?stream=1", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -66,15 +105,10 @@ func streamResult(t *testing.T, url, body string) []byte {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("stream status %d: %s", resp.StatusCode, b)
 	}
+	evs := readEvents(t, resp.Body)
 	var result json.RawMessage
 	var items []json.RawMessage
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev jobs.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-		}
+	for _, ev := range evs {
 		switch ev.Type {
 		case jobs.EventError:
 			t.Fatalf("stream error: %+v", ev.Error)
@@ -97,24 +131,25 @@ func streamResult(t *testing.T, url, body string) []byte {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				return buf.Bytes()
+				return buf.Bytes(), eventTypes(evs)
 			}
 			result = ev.Result
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
 	if result == nil {
 		t.Fatal("stream ended without a result line")
 	}
-	return append(result, '\n')
+	return append(result, '\n'), eventTypes(evs)
 }
 
 // TestEveryKindAgreesAcrossSurfaces walks the kind table: for every
 // row, the row's example computed on fresh services through the sync
 // route, the ?stream=1 route and a job yields the same bytes, a repeat
-// is a cache hit, and an unknown field is a 400 on every surface.
+// is a cache hit, and an unknown field is a 400 on every surface. The
+// job runs twice on a service with a durable store: both runs stream
+// the event types ?stream=1 does (cache and result on a row without a
+// stream route), and only a stored row's first run writes the store,
+// which shows that the pipeline alone decides what is stored.
 func TestEveryKindAgreesAcrossSurfaces(t *testing.T) {
 	for _, name := range JobKinds() {
 		k := kindTable[name]
@@ -129,17 +164,34 @@ func TestEveryKindAgreesAcrossSurfaces(t *testing.T) {
 				t.Fatalf("repeat: X-Cache %q, same bytes %v", resp.Header.Get("X-Cache"), bytes.Equal(again, want))
 			}
 
-			jobSvc := New(Config{Workers: 2})
-			jobSrv := httptest.NewServer(jobSvc.Handler())
-			defer jobSrv.Close()
-			if status, got := submitAndFetch(t, jobSvc, jobSrv.URL, name, k.example); status != http.StatusOK || !bytes.Equal(got, want) {
-				t.Fatalf("job result status %d, same bytes %v:\n%s\n%s", status, bytes.Equal(got, want), got, want)
-			}
-
+			wantTypes := []string{jobs.EventCache, jobs.EventResult}
 			if k.stream {
 				streamSrv := newTestServer(t, Config{Workers: 2})
-				if got := streamResult(t, kindURL(streamSrv.URL, k), k.example); !bytes.Equal(got, want) {
+				got, types := streamResult(t, kindURL(streamSrv.URL, k), k.example)
+				if !bytes.Equal(got, want) {
 					t.Fatalf("stream result differs from the sync body:\n%s\n%s", got, want)
+				}
+				wantTypes = types
+			}
+
+			jobSvc := New(Config{Workers: 2, JobsDir: t.TempDir()})
+			jobSrv := httptest.NewServer(jobSvc.Handler())
+			defer jobSrv.Close()
+			firstPuts := int64(0)
+			if k.tiers&tierStore != 0 {
+				firstPuts = 1
+			}
+			for run, wantPuts := range []int64{firstPuts, 0} {
+				puts := jobSvc.store.Stats().Puts
+				status, got, types := submitAndFetch(t, jobSvc, jobSrv.URL, name, k.example)
+				if status != http.StatusOK || !bytes.Equal(got, want) {
+					t.Fatalf("job %d result status %d, same bytes %v:\n%s\n%s", run+1, status, bytes.Equal(got, want), got, want)
+				}
+				if !slices.Equal(types, wantTypes) {
+					t.Fatalf("job %d streamed %v, want %v", run+1, types, wantTypes)
+				}
+				if grew := jobSvc.store.Stats().Puts - puts; grew != wantPuts {
+					t.Fatalf("job %d: result_store.puts grew by %d, want %d", run+1, grew, wantPuts)
 				}
 			}
 
@@ -153,7 +205,7 @@ func TestEveryKindAgreesAcrossSurfaces(t *testing.T) {
 					t.Fatalf("%s: unknown field got %d: %s", url, resp.StatusCode, b)
 				}
 			}
-			if status, b := submitAndFetch(t, jobSvc, jobSrv.URL, name, unknown); status != http.StatusBadRequest {
+			if status, b, _ := submitAndFetch(t, jobSvc, jobSrv.URL, name, unknown); status != http.StatusBadRequest {
 				t.Fatalf("job: unknown field got %d: %s", status, b)
 			}
 		})
@@ -205,7 +257,7 @@ func TestCountEachRequestOnce(t *testing.T) {
 		}
 	}
 	for _, name := range JobKinds() {
-		if status, b := submitAndFetch(t, s, srv.URL, name, kindTable[name].example); status != http.StatusOK {
+		if status, b, _ := submitAndFetch(t, s, srv.URL, name, kindTable[name].example); status != http.StatusOK {
 			t.Fatalf("%s job: status %d: %s", name, status, b)
 		}
 		runs++

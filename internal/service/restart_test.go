@@ -138,41 +138,60 @@ func TestRestartInterruptPolicy(t *testing.T) {
 }
 
 // TestRestartStoreHitIsBornDone: the crash happened after the result
-// was persisted but before the journal's end record landed. Recovery
-// must serve the stored bytes — byte-identical to the first run —
-// without recomputing.
+// was persisted but before the journal's end record landed. Under the
+// default policy the recovered job re-runs, and its run is answered
+// from the store; under the interrupt policy the job parks as
+// interrupted, and resubmitting the request is answered from the store.
+// Either way the bytes are the first life's, the store counts one hit,
+// and nothing is recomputed.
 func TestRestartStoreHitIsBornDone(t *testing.T) {
-	dir := t.TempDir()
+	for _, policy := range []string{RecoverResubmit, RecoverInterrupt} {
+		t.Run(policy, func(t *testing.T) {
+			dir := t.TempDir()
 
-	// First life: run the job to completion so the store holds its key.
-	s1 := New(Config{Workers: 2, JobsDir: dir})
-	j1, err := s1.SubmitJob(kindCodesign, []byte(codesignBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, j1)
-	want, state, _, _ := j1.Result()
-	if state != jobs.StateDone {
-		t.Fatalf("first life state %v", state)
-	}
-	s1.Drain(context.Background())
+			// First life: run the job to completion so the store holds its key.
+			s1 := New(Config{Workers: 2, JobsDir: dir})
+			j1, err := s1.SubmitJob(kindCodesign, []byte(codesignBody))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitJob(t, j1)
+			want, state, _, _ := j1.Result()
+			if state != jobs.StateDone {
+				t.Fatalf("first life state %v", state)
+			}
+			s1.Drain(context.Background())
 
-	// The crash frontier: a begin for the same request that never got
-	// its end record.
-	crashWithIntent(t, dir, "crashed-after-persist", kindCodesign, []byte(codesignBody))
+			// The crash frontier: a begin for the same request that never got
+			// its end record.
+			crashWithIntent(t, dir, "crashed-after-persist", kindCodesign, []byte(codesignBody))
 
-	s2 := New(Config{Workers: 2, JobsDir: dir})
-	j2, ok := s2.jobsEng.Get("crashed-after-persist")
-	if !ok {
-		t.Fatal("recovered job not registered")
-	}
-	waitJob(t, j2)
-	b, state, _, _ := j2.Result()
-	if state != jobs.StateDone || !bytes.Equal(b, want) {
-		t.Fatalf("store-hit recovery state=%v, bytes identical=%v", state, bytes.Equal(b, want))
-	}
-	if !j2.Status().FromStore {
-		t.Fatal("store-hit recovery must be served from the store, not recomputed")
+			s2 := New(Config{Workers: 2, JobsDir: dir, RecoverPolicy: policy})
+			j2, ok := s2.jobsEng.Get("crashed-after-persist")
+			if !ok {
+				t.Fatal("recovered job not registered")
+			}
+			waitJob(t, j2)
+			if policy == RecoverInterrupt {
+				if _, state, _, _ := j2.Result(); state != jobs.StateInterrupted {
+					t.Fatalf("recovered job state = %v, want interrupted", state)
+				}
+				if j2, err = s2.SubmitJob(kindCodesign, []byte(codesignBody)); err != nil {
+					t.Fatal(err)
+				}
+				waitJob(t, j2)
+			}
+			b, state, _, _ := j2.Result()
+			if state != jobs.StateDone || !bytes.Equal(b, want) {
+				t.Fatalf("store-hit job state=%v, bytes identical=%v", state, bytes.Equal(b, want))
+			}
+			if hits := s2.store.Stats().Hits; hits != 1 {
+				t.Fatalf("result_store.hits = %d, want 1", hits)
+			}
+			if misses := s2.Stats().CacheMisses; misses != 0 {
+				t.Fatalf("stats.cache_misses = %d: the stored result was recomputed", misses)
+			}
+		})
 	}
 }
 

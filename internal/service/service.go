@@ -90,11 +90,14 @@ type Config struct {
 	// service handler (the ctrlschedd -pprof flag).
 	EnablePprof bool
 	// JobsDir, when set, roots the durable content-addressed result
-	// store and the job journal: results survive daemon restarts and are
-	// served byte-identical without recompute. The kernel cache is not
-	// persisted; a restarted process refills it on demand, since every
-	// kernel is a pure function of its inputs. Empty disables
-	// persistence (jobs still run, results die with the process).
+	// store and the job journal. The store keeps codesign and experiment
+	// results, so they survive daemon restarts and are served
+	// byte-identical without recompute, whether asked for by a sync
+	// request or a job; analyze and batch results are cheap and never
+	// stored. The kernel cache is not persisted; a restarted process
+	// refills it on demand, since every kernel is a pure function of its
+	// inputs. Empty disables persistence (jobs still run, results die
+	// with the process).
 	JobsDir string
 	// StoreEntries/StoreBytes/StoreMaxAge bound the durable store's
 	// retention (see jobs.StoreOptions). Zero means the jobs defaults;
@@ -103,7 +106,7 @@ type Config struct {
 	StoreBytes   int64
 	StoreMaxAge  time.Duration
 	// MaxJobs bounds the async job registry; beyond it the oldest
-	// finished jobs are forgotten (their results stay in the store).
+	// finished jobs are forgotten (stored results stay in the store).
 	// 0 means jobs.DefaultMaxJobs.
 	MaxJobs int
 	// RecoverPolicy decides what happens to journaled-but-unfinished
@@ -111,7 +114,8 @@ type Config struct {
 	// "resubmit" (the default) re-enqueues each under its original ID —
 	// idempotent, since a result already in the store is served from
 	// disk without recompute — while "interrupt" parks them in the typed
-	// `interrupted` terminal state for the client to resubmit.
+	// `interrupted` terminal state for the client to resubmit (a
+	// resubmitted stored result is then answered from the store).
 	RecoverPolicy string
 	// StoreFS overrides the filesystem the durable store and job
 	// journal mutate through. Not a flag: production always runs on the
@@ -304,9 +308,10 @@ type Service struct {
 	draining atomic.Bool
 
 	// store is the durable content-addressed result store (nil without
-	// JobsDir); jobsEng tracks async jobs over it. storeErr records an
-	// open failure for /healthz — a daemon that cannot persist still
-	// serves (the store is a cache, not the source of truth).
+	// JobsDir); only serve and execute read and write it. jobsEng tracks
+	// async jobs and their journal. storeErr records an open failure for
+	// /healthz — a daemon that cannot persist still serves (the store is
+	// a cache, not the source of truth).
 	store      *jobs.Store
 	jobsEng    *jobs.Engine
 	storeErr   string
@@ -370,10 +375,11 @@ func New(cfg Config) *Service {
 			jrn, intents = nil, nil
 		}
 	}
-	s.jobsEng = jobs.NewEngine(s.store, c.MaxJobs, jrn)
+	s.jobsEng = jobs.NewEngine(c.MaxJobs, jrn)
 	// Resolve what the previous process left behind before taking
-	// traffic: every journaled-but-unfinished job completes from the
-	// store, re-runs, or surfaces as interrupted — never vanishes.
+	// traffic: every journaled-but-unfinished job re-runs (a stored
+	// result answers it from disk) or surfaces as interrupted — never
+	// vanishes.
 	s.jobsEng.Recover(intents, c.RecoverPolicy != RecoverInterrupt, func(kind string, raw []byte) (jobs.Runner, error) {
 		_, run, err := s.prepareJob(kind, raw)
 		return run, err
@@ -390,9 +396,9 @@ func (s *Service) BeginDrain() { s.draining.Store(true) }
 func (s *Service) Draining() bool { return s.draining.Load() }
 
 // Drain stops accepting job submissions and waits for running jobs,
-// canceling them if ctx expires first. Finished results are already in
-// the durable store, so nothing else needs saving. Serve calls it on
-// graceful shutdown.
+// canceling them if ctx expires first. Stored kinds wrote their results
+// when they computed them, so nothing else needs saving. Serve calls it
+// on graceful shutdown.
 func (s *Service) Drain(ctx context.Context) {
 	s.BeginDrain()
 	s.jobsEng.Drain(ctx)

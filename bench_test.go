@@ -133,6 +133,24 @@ func BenchmarkTable1Workers(b *testing.B) {
 	}
 }
 
+// BenchmarkTable1Job is the campaign one fleet table1_jobs job runs: 96
+// benchmarks at each of n ∈ {4, 8} (one random task set and one Unsafe
+// Quadratic search each) on one worker against the warm shared
+// generator, so task draws and exact response-time evaluations are what
+// is measured.
+func BenchmarkTable1Job(b *testing.B) {
+	sharedGen.Warm()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		experiments.Table1(experiments.Table1Config{
+			Benchmarks: 96,
+			Sizes:      []int{4, 8},
+			Seed:       int64(i + 1),
+		}, experiments.Exec{Workers: 1, Gen: experiments.Fixed(sharedGen)})
+	}
+}
+
 // BenchmarkCompareWorkers is the scaling bench for the heaviest
 // per-benchmark workload (four assignment methods per instance).
 func BenchmarkCompareWorkers(b *testing.B) {
@@ -206,7 +224,7 @@ func BenchmarkAblationBacktrackingMemoized(b *testing.B) {
 
 // BenchmarkRTAAnalyzeAll20 measures one full-task-set exact analysis
 // (n = 20), the innermost kernel of every assignment search and batch
-// query; run with -benchmem to see the workspace savings.
+// query; its one allocation per op is the result slice.
 func BenchmarkRTAAnalyzeAll20(b *testing.B) {
 	sharedGen.Warm()
 	rng := rand.New(rand.NewSource(9))
@@ -221,8 +239,8 @@ func BenchmarkRTAAnalyzeAll20(b *testing.B) {
 	}
 }
 
-// BenchmarkRTAAnalyzeAllInto20 is the reusable-workspace variant: with a
-// warm workspace and a retained result slice it runs allocation-free.
+// BenchmarkRTAAnalyzeAllInto20 is the retained-result variant: appending
+// into the previous call's result slice, it runs allocation-free.
 func BenchmarkRTAAnalyzeAllInto20(b *testing.B) {
 	sharedGen.Warm()
 	rng := rand.New(rand.NewSource(9))
@@ -231,11 +249,11 @@ func BenchmarkRTAAnalyzeAllInto20(b *testing.B) {
 	for i := range prio {
 		prio[i] = i + 1
 	}
-	var ws rta.Workspace
 	var out []rta.Result
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = rta.AnalyzeAllInto(&ws, tasks, prio, out)
+		out = rta.AnalyzeAllInto(tasks, prio, out)
 	}
 }
 

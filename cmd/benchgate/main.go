@@ -13,27 +13,36 @@
 // only the working tree has is reported as new and not gated. Timing both
 // sides in one session on one host is what lets the gate bind: absolute
 // ns/op drifts between hosts, Go releases and even sessions.
+//
+// A Ctrl-C or SIGTERM stops the run and a closed stdout (say, piped into
+// `tail -0`) fails the verdict write; in both cases the temporary
+// worktree is still removed before the process exits.
 package main
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
+	"syscall"
+	"time"
 )
 
 const (
 	// gated names the root-package benchmarks the gate runs: the paper's
-	// kernels (Algorithm 1, the Fig. 2 LQG cost, the Fig. 4 jitter
-	// margin), the co-design engine and its co-simulation, and the
-	// service's batch, cache-hit and job-submit paths.
-	gated = `^Benchmark(AssignBacktracking20|Fig2Point|Fig4Margin|CodesignCold|CosimLoop|AnalyzeBatch64|AnalyzeHit|JobSubmitHit)$`
+	// kernels (Algorithm 1, the Table I campaign of one fleet job, the
+	// Fig. 2 LQG cost, the Fig. 4 jitter margin), the co-design engine
+	// and its co-simulation, and the service's batch, cache-hit and
+	// job-submit paths.
+	gated = `^Benchmark(AssignBacktracking20|Table1Job|Fig2Point|Fig4Margin|CodesignCold|CosimLoop|AnalyzeBatch64|AnalyzeHit|JobSubmitHit)$`
 
 	pairs     = 10
 	minLosses = 9
@@ -125,7 +134,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: go run ./cmd/benchgate <rev>")
 		os.Exit(2)
 	}
-	failed, err := run(os.Args[1])
+	// A write to a closed stdout raises SIGPIPE, which kills the process
+	// before the deferred cleanup runs unless the signal is notified;
+	// then the write fails with EPIPE instead. (Notify, unlike Ignore,
+	// leaves the children's SIGPIPE at its default.)
+	signal.Notify(make(chan os.Signal, 1), syscall.SIGPIPE)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	failed, err := run(ctx, ".", os.Args[1])
+	stop()
 	switch {
 	case err != nil:
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
@@ -137,26 +153,29 @@ func main() {
 	fmt.Println("bench gate passed")
 }
 
-// run builds rev and the working tree, times them in alternating pairs
-// and prints the verdicts. The worktree and binaries are removed on
-// every return path.
-func run(rev string) (bool, error) {
+// run builds rev and the working tree of the git repository at repo,
+// times them in alternating pairs and prints the verdicts. Canceling ctx
+// interrupts the build or benchmark in progress. The worktree and
+// binaries are removed on every return path.
+func run(ctx context.Context, repo, rev string) (bool, error) {
 	tmp, err := os.MkdirTemp("", "benchgate-")
 	if err != nil {
 		return false, err
 	}
 	defer os.RemoveAll(tmp)
 	tree := filepath.Join(tmp, "parent")
-	if err := command("", "git", "worktree", "add", "--detach", tree, rev).Run(); err != nil {
+	// Registered before the add, so an add cut short by ctx is undone
+	// too; the removal itself must outlive ctx.
+	defer command(context.Background(), repo, "git", "worktree", "remove", "--force", tree).Run()
+	if err := command(ctx, repo, "git", "worktree", "add", "--detach", tree, rev).Run(); err != nil {
 		return false, fmt.Errorf("git worktree add %s: %w", rev, err)
 	}
-	defer command("", "git", "worktree", "remove", "--force", tree).Run()
 
-	dirs := [2]string{tree, "."}
+	dirs := [2]string{tree, repo}
 	bins := [2]string{filepath.Join(tmp, "parent.test"), filepath.Join(tmp, "change.test")}
 	samples := [2]map[string][]float64{{}, {}}
 	for s := range dirs {
-		if err := command(dirs[s], "go", "test", "-c", "-o", bins[s], ".").Run(); err != nil {
+		if err := command(ctx, dirs[s], "go", "test", "-c", "-o", bins[s], ".").Run(); err != nil {
 			return false, fmt.Errorf("build %s: %w", dirs[s], err)
 		}
 	}
@@ -164,8 +183,8 @@ func run(rev string) (bool, error) {
 		fmt.Fprintf(os.Stderr, "benchgate: pair %d of %d\n", pair+1, pairs)
 		for k := 0; k < 2; k++ {
 			s := (pair + k) % 2 // the parent runs first in even pairs
-			cmd := exec.Command(bins[s], "-test.run", "^$", "-test.bench", gated, "-test.benchtime", benchtime)
-			cmd.Dir, cmd.Stderr = dirs[s], os.Stderr
+			cmd := command(ctx, dirs[s], bins[s], "-test.run", "^$", "-test.bench", gated, "-test.benchtime", benchtime)
+			cmd.Stdout = nil // Output collects it
 			out, err := cmd.Output()
 			if err != nil {
 				return false, fmt.Errorf("%s: %w\n%s", bins[s], err, out)
@@ -183,10 +202,14 @@ func run(rev string) (bool, error) {
 }
 
 // command runs in dir with all its output on this process's stderr, so
-// stdout carries only the verdicts.
-func command(dir, name string, args ...string) *exec.Cmd {
-	cmd := exec.Command(name, args...)
+// stdout carries only the verdicts. Canceling ctx interrupts it, so the
+// go command can clean up its own temporary files, and kills it if it
+// has not exited a few seconds later.
+func command(ctx context.Context, dir, name string, args ...string) *exec.Cmd {
+	cmd := exec.CommandContext(ctx, name, args...)
 	cmd.Dir = dir
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+	cmd.Cancel = func() error { return cmd.Process.Signal(os.Interrupt) }
+	cmd.WaitDelay = 5 * time.Second
 	return cmd
 }

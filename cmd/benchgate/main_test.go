@@ -1,9 +1,14 @@
 package main
 
 import (
+	"context"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseKeepsEverySampleAndStripsSuffix(t *testing.T) {
@@ -104,5 +109,79 @@ func TestDecide(t *testing.T) {
 				t.Errorf("report lacks %q:\n%s", tc.report, report)
 			}
 		})
+	}
+}
+
+// TestRunCanceledMidBuildRemovesWorktree cancels run while it builds the
+// test binaries of a throwaway repository, as a Ctrl-C or SIGTERM does,
+// and checks that the temporary worktree and directory are gone.
+func TestRunCanceledMidBuildRemovesWorktree(t *testing.T) {
+	for _, tool := range []string{"git", "go"} {
+		if _, err := exec.LookPath(tool); err != nil {
+			t.Skipf("%s is not on PATH", tool)
+		}
+	}
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	t.Setenv("GOTMPDIR", "") // the go command's work directories land in tmp too
+	repo := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module throwaway\n\ngo 1.21\n",
+		// The benchmark never finishes on its own, so only the cancel
+		// can end the run.
+		"x_test.go": "package throwaway\n\nimport (\n\t\"testing\"\n\t\"time\"\n)\n\nfunc BenchmarkFig2Point(b *testing.B) { time.Sleep(time.Hour) }\n",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(repo, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	git := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@example.com"}, args...)...)
+		cmd.Dir = repo
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+		return string(out)
+	}
+	git("init", "-q")
+	git("add", ".")
+	git("commit", "-q", "-m", "init")
+	worktrees := func() int { return strings.Count(git("worktree", "list", "--porcelain"), "worktree ") }
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := run(ctx, repo, "HEAD")
+		done <- err
+	}()
+	// Once the worktree is registered and the go command has made its
+	// work directory, run is building.
+	building := func() bool {
+		dirs, _ := filepath.Glob(filepath.Join(tmp, "go-build*"))
+		return len(dirs) > 0 && worktrees() == 2
+	}
+	for deadline := time.Now().Add(time.Minute); !building(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("run never started building")
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a canceled run reported no error")
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("a canceled run did not return")
+	}
+	if n := worktrees(); n != 1 {
+		t.Fatalf("git worktree list shows %d trees after the canceled run, want only the main one:\n%s", n, git("worktree", "list"))
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "benchgate-*")); len(left) != 0 {
+		t.Fatalf("temporary directories left behind: %v", left)
 	}
 }

@@ -86,13 +86,14 @@ type evalRecord struct {
 }
 
 // evaluator runs the exact response-time evaluations of one assignment
-// search. It owns the reusable rta workspace (so candidate evaluation
-// performs no per-call heap allocation) and, when memoization is on, a
-// cache of full evalRecords keyed by (candidate set, task), so a WCRT
-// established once is never recomputed anywhere in the search.
+// search. A candidate set is already a bitmask over the search's task
+// slice, so each evaluation hands it straight to rta.AnalyzeMask: no task
+// is copied and nothing is allocated per evaluation. When memoization is
+// on, the evaluator also keeps a cache of full evalRecords keyed by
+// (candidate set, task), so a WCRT established once is never recomputed
+// anywhere in the search.
 type evaluator struct {
 	tasks []rta.Task
-	ws    rta.Workspace
 	memo  map[uint64]evalRecord // nil disables memoization
 	stats *Stats
 }
@@ -105,10 +106,9 @@ func newEvaluator(tasks []rta.Task, memoize bool, stats *Stats) *evaluator {
 	return e
 }
 
-// reset rebinds an evaluator to a new search without dropping its
-// buffers: the rta workspace keeps its capacity and the memo map is
-// cleared, not reallocated. Memo entries never survive a reset — they
-// are only meaningful for one fixed task slice.
+// reset rebinds an evaluator to a new search without dropping its memo
+// map: the map is cleared, not reallocated. Memo entries never survive a
+// reset — they are only meaningful for one fixed task slice.
 func (e *evaluator) reset(tasks []rta.Task, memoize bool, stats *Stats) {
 	e.tasks, e.stats = tasks, stats
 	switch {
@@ -131,14 +131,7 @@ func (e *evaluator) record(set uint32, i int) evalRecord {
 		}
 	}
 	e.stats.Evaluations++
-	hp := e.ws.HP(len(e.tasks))
-	mask := set &^ (1 << uint(i))
-	for j := range e.tasks {
-		if mask&(1<<uint(j)) != 0 {
-			hp = append(hp, e.tasks[j])
-		}
-	}
-	res := rta.Analyze(e.tasks[i], hp)
+	res := rta.AnalyzeMask(e.tasks[i], e.tasks, uint64(set&^(1<<uint(i))))
 	var rec evalRecord
 	if math.IsInf(res.WCRT, 1) || !res.DeadlineMet {
 		rec = evalRecord{slack: math.Inf(-1), stable: false}
@@ -202,11 +195,11 @@ func BacktrackingOpts(tasks []rta.Task, opt Options) Result {
 }
 
 // Searcher owns the reusable state of repeated backtracking searches:
-// the evaluator (rta workspace + memo map), the per-level candidate
-// buffers, and the priority scratch vector. A zero Searcher is ready to
-// use; after the first search its buffers are retained, so searching
-// many task-set variants of the same size performs no per-search heap
-// allocation beyond the returned Priorities slice. A Searcher must not
+// the evaluator's memo map, the per-level candidate buffers, and the
+// priority scratch vector. A zero Searcher is ready to use; after the
+// first search its buffers are retained, so searching many task-set
+// variants of the same size performs no per-search heap allocation
+// beyond the returned Priorities slice. A Searcher must not
 // be shared between goroutines.
 type Searcher struct {
 	ev       evaluator
@@ -349,8 +342,8 @@ func AudsleyGreedy(tasks []rta.Task) Result {
 	}
 	prio := make([]int, n)
 	// No memo: the greedy candidate set strictly shrinks each level, so a
-	// (set, task) pair can never recur — the shared rta workspace is what
-	// makes the n² exact evaluations allocation-free.
+	// (set, task) pair can never recur, and the n² exact evaluations
+	// allocate nothing.
 	ev := newEvaluator(tasks, false, &res.Stats)
 	remaining := uint32(1)<<uint(n) - 1
 	for level := 1; level <= n; level++ {

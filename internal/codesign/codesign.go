@@ -54,11 +54,11 @@
 // convergence trace (Result.Trace).
 //
 // Inner iterations are allocation-conscious by construction: priority
-// searches run through pooled assign.Searcher instances (reusable memo +
-// rta workspace), response-time analysis through pooled rta.Workspace
-// buffers, and delay-aware costs come from the process-wide kernel cache
-// (lqg.DelayedCostCached), shared across sweeps, candidate searches and
-// requests.
+// searches run through pooled assign.Searcher instances (reusable memo
+// and candidate buffers), response-time analysis appends into pooled
+// result slices (rta.AnalyzeAllInto), and delay-aware costs come from the
+// process-wide kernel cache (lqg.DelayedCostCached), shared across
+// sweeps, candidate searches and requests.
 package codesign
 
 import (
@@ -303,11 +303,10 @@ type sweepVal struct {
 	prio []int
 }
 
-// evalCtx is the pooled per-evaluation scratch: the assignment searcher,
-// the response-time workspace, and the task/priority/result buffers.
+// evalCtx is the pooled per-evaluation scratch: the assignment searcher
+// and the task/design/result buffers.
 type evalCtx struct {
 	searcher assign.Searcher
-	ws       rta.Workspace
 	tasks    []rta.Task
 	designs  []*lqg.Design
 	rs       []rta.Result
@@ -526,7 +525,7 @@ func (e *engine) buildTasks(ctx *evalCtx, sel []int, override, cand int) ([]rta.
 // violated, otherwise the total delay-aware LQG cost.
 func (e *engine) configCost(ctx *evalCtx, tasks []rta.Task, designs []*lqg.Design, prio []int) float64 {
 	e.evals.Add(1)
-	ctx.rs = rta.AnalyzeAllInto(&ctx.ws, tasks, prio, ctx.rs[:0])
+	ctx.rs = rta.AnalyzeAllInto(tasks, prio, ctx.rs[:0])
 	for i := range tasks {
 		if !ctx.rs[i].Stable {
 			return math.Inf(1)

@@ -188,41 +188,30 @@ func (j *Job) broadcastLocked() {
 	j.updated = make(chan struct{})
 }
 
-// finishOK moves the job to done, appending the cache and result
-// events unless the runner already emitted its own terminator (the
+// finishLocked moves a running job to its terminal state without waking
+// its watchers; the caller holds j.mu and broadcasts. With fail nil the
+// job is done with result b, and the cache and result events are
+// appended unless the runner already emitted its own terminator (the
 // batch path emits item lines plus {"type":"result","done":N}).
-func (j *Job) finishOK(b []byte, cacheHit bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.state = StateDone
-	j.result = b
+// Otherwise it is failed — or canceled, when a DELETE (or drain)
+// canceled its context and the failure is the abort surfacing.
+func (j *Job) finishLocked(b []byte, cacheHit bool, fail *ErrorInfo) {
 	j.finished = time.Now()
-	if !j.sawResult {
-		j.events = append(j.events, CacheEvent(cacheHit), ResultEvent(bytes.TrimRight(b, "\n")))
-	}
-	j.broadcastLocked()
-}
-
-// finishErr moves the job to failed — or canceled, when a DELETE (or
-// drain) canceled its context and the failure is the abort surfacing.
-func (j *Job) finishErr(fail *ErrorInfo) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	switch {
+	case fail == nil:
+		j.state = StateDone
+		j.result = b
+		if !j.sawResult {
+			j.events = append(j.events, CacheEvent(cacheHit), ResultEvent(bytes.TrimRight(b, "\n")))
+		}
 		return
-	}
-	if j.canceled {
+	case j.canceled:
 		j.state = StateCanceled
-	} else {
+	default:
 		j.state = StateFailed
 	}
 	j.errInfo = fail
-	j.finished = time.Now()
 	j.events = append(j.events, ErrorEvent(*fail))
-	j.broadcastLocked()
 }
 
 // interrupt parks a recovered-but-unrunnable job in the typed
@@ -336,8 +325,8 @@ func (e *Engine) Submit(kind string, key Key, raw []byte, run Runner) (*Job, err
 	return j, nil
 }
 
-// start launches j's runner on an engine goroutine and journals the end
-// record once the job reaches a terminal state.
+// start launches j's runner on an engine goroutine, counts and then
+// publishes the job's terminal state, and journals the end record.
 func (e *Engine) start(j *Job, run Runner) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j.cancel = cancel
@@ -349,26 +338,30 @@ func (e *Engine) start(j *Job, run Runner) {
 		defer e.wg.Done()
 		defer cancel()
 		b, hit, fail := run(ctx, j.emit)
-		if fail != nil {
-			j.finishErr(fail)
-		} else {
-			j.finishOK(b, hit)
-		}
-		_ = e.journal.End(j.ID)
+		// The terminal state is counted before the broadcast lets a
+		// watcher or /v1/jobs/{id}/result see it, so /healthz never lags
+		// a result a client already holds.
 		e.mu.Lock()
 		e.running--
 		j.mu.Lock()
-		switch j.state {
-		case StateDone:
-			e.doneN++
-		case StateFailed:
-			e.failedN++
-		case StateCanceled:
-			e.canceledN++
+		if !j.state.Terminal() {
+			j.finishLocked(b, hit, fail)
+			switch j.state {
+			case StateDone:
+				e.doneN++
+			case StateFailed:
+				e.failedN++
+			case StateCanceled:
+				e.canceledN++
+			}
+			j.broadcastLocked()
 		}
 		j.cancel = nil // the context is done; a finished job need not pin it
 		j.mu.Unlock()
 		e.mu.Unlock()
+		// The end record still follows the runner's return: ending the
+		// intent any earlier would let a crash drop an accepted job.
+		_ = e.journal.End(j.ID)
 	}()
 }
 

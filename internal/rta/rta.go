@@ -12,12 +12,22 @@
 // Times are float64 seconds. The fixed points are reached exactly (the
 // ceiling functions make iterates piecewise constant), with an iteration
 // budget and a divergence bound guarding the over-utilized case.
+//
+// Each recurrence has one implementation, which takes the higher-priority
+// set as a bitmask over the caller's task slice (AnalyzeMask): the
+// priority-assignment searches and AnalyzeAll select a task's interferers
+// without copying them, and the slice-taking entry points (Analyze, WCRT,
+// BCRT) select every task of their slice. Utilization and interference
+// are summed in ascending index order, which is the order of the slice a
+// caller would otherwise have built, so every result is bit-identical to
+// a copy-based analysis.
 package rta
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrUnschedulable is returned when the worst-case response time iteration
@@ -83,28 +93,31 @@ const (
 	divergenceFactor = 1000
 )
 
-// WCRT computes the exact worst-case response time of a task with
-// execution demand cw under interference from the higher-priority tasks
-// hp, by the Joseph–Pandya fixed point started at cw.
-func WCRT(cw float64, hp []Task) (float64, error) {
-	bound := cw
-	for _, t := range hp {
-		if t.Period > bound {
-			bound = t.Period
-		}
+// MaxMaskTasks is the width of a higher-priority mask: the kernels below
+// take the higher-priority set as a uint64 whose bit j selects tasks[j],
+// so a task slice analyzed through them holds at most 64 tasks. Every
+// input path caps task sets at assign.MaxTasks (31) first, so a longer
+// slice can only come from a bug, and the slice-taking entry points panic
+// on one.
+const MaxMaskTasks = 64
+
+// allMask selects every task of a slice of length n.
+func allMask(n int) uint64 {
+	if n > MaxMaskTasks {
+		panic("rta: more than 64 tasks for a higher-priority mask")
 	}
-	return WCRTBounded(cw, hp, bound*divergenceFactor)
+	return 1<<uint(n) - 1 // a shift by 64 yields 0, so n = 64 sets all bits
 }
 
-// WCRTBounded is WCRT with an explicit divergence horizon: once the
-// iterate exceeds `bound` the computation stops with ErrUnschedulable
-// (+Inf). Callers that only care about response times up to the deadline
-// (every stability consumer in this repository: a job past its deadline
-// fails regardless of the exact value) should pass the deadline as the
-// bound — it turns the near-saturation fixed point, whose exact value can
-// take tens of thousands of ceiling steps to reach, into an early exit.
-func WCRTBounded(cw float64, hp []Task, bound float64) (float64, error) {
-	if len(hp) == 0 {
+// wcrt is the Joseph–Pandya worst-case recurrence of a task with
+// execution demand cw under interference from the tasks[j] whose bit j is
+// set in hp, started at cw. Utilization and interference are summed in
+// ascending index order. Once the iterate exceeds bound the computation
+// stops with ErrUnschedulable (+Inf): Analyze passes the deadline, which
+// turns the near-saturation fixed point, whose exact value can take tens
+// of thousands of ceiling steps to reach, into an early exit.
+func wcrt(cw float64, tasks []Task, hp uint64, bound float64) (float64, error) {
+	if hp == 0 {
 		if cw > bound {
 			return math.Inf(1), ErrUnschedulable
 		}
@@ -113,7 +126,8 @@ func WCRTBounded(cw float64, hp []Task, bound float64) (float64, error) {
 	// Analytic divergence check: with Σ WCET/Period ≥ 1 the recurrence
 	// R ← cw + Σ⌈R/h⌉·C satisfies next ≥ cw + R > R forever.
 	var util float64
-	for _, t := range hp {
+	for m := hp; m != 0; m &= m - 1 {
+		t := &tasks[bits.TrailingZeros64(m)]
 		util += t.WCET / t.Period
 	}
 	if util >= 1 {
@@ -123,7 +137,8 @@ func WCRTBounded(cw float64, hp []Task, bound float64) (float64, error) {
 	r := cw
 	for iter := 0; iter < maxIterations; iter++ {
 		next := cw
-		for _, t := range hp {
+		for m := hp; m != 0; m &= m - 1 {
+			t := &tasks[bits.TrailingZeros64(m)]
 			next += math.Ceil(r/t.Period) * t.WCET
 		}
 		if next == r {
@@ -137,12 +152,12 @@ func WCRTBounded(cw float64, hp []Task, bound float64) (float64, error) {
 	return math.Inf(1), ErrUnschedulable
 }
 
-// BCRT computes the exact best-case response time (Redell–Sanfridson):
-// the largest fixed point of Rᵇ = cb + Σ ⌈Rᵇ/h_j − 1⌉·cb_j not exceeding
-// the start value, reached by downward iteration from rStart (use the
-// task's WCRT, or any upper bound such as its period).
-func BCRT(cb float64, hp []Task, rStart float64) float64 {
-	if len(hp) == 0 {
+// bcrt is the Redell–Sanfridson best-case recurrence over the tasks
+// selected by hp: the largest fixed point of Rᵇ = cb + Σ ⌈Rᵇ/h_j − 1⌉·cb_j
+// not exceeding the start value, reached by downward iteration from
+// rStart. Interference is summed in ascending index order.
+func bcrt(cb float64, tasks []Task, hp uint64, rStart float64) float64 {
+	if hp == 0 {
 		return cb
 	}
 	r := rStart
@@ -151,7 +166,8 @@ func BCRT(cb float64, hp []Task, rStart float64) float64 {
 	}
 	for iter := 0; iter < maxIterations; iter++ {
 		next := cb
-		for _, t := range hp {
+		for m := hp; m != 0; m &= m - 1 {
+			t := &tasks[bits.TrailingZeros64(m)]
 			k := math.Ceil(r/t.Period - 1)
 			if k < 0 {
 				k = 0
@@ -165,6 +181,28 @@ func BCRT(cb float64, hp []Task, rStart float64) float64 {
 		r = next
 	}
 	return r
+}
+
+// WCRT computes the exact worst-case response time of a task with
+// execution demand cw under interference from the higher-priority tasks
+// hp, by the Joseph–Pandya fixed point started at cw. The divergence
+// horizon is divergenceFactor times the longest period involved.
+func WCRT(cw float64, hp []Task) (float64, error) {
+	bound := cw
+	for _, t := range hp {
+		if t.Period > bound {
+			bound = t.Period
+		}
+	}
+	return wcrt(cw, hp, allMask(len(hp)), bound*divergenceFactor)
+}
+
+// BCRT computes the exact best-case response time (Redell–Sanfridson)
+// under interference from the higher-priority tasks hp, by downward
+// iteration from rStart (use the task's WCRT, or any upper bound such as
+// its period).
+func BCRT(cb float64, hp []Task, rStart float64) float64 {
+	return bcrt(cb, hp, allMask(len(hp)), rStart)
 }
 
 // Result bundles the response-time analysis outcome for one task at one
@@ -183,16 +221,26 @@ type Result struct {
 
 // Analyze computes response times, latency, jitter and the stability
 // verdict for task t under interference from the higher-priority set hp.
-// A task that is unschedulable — or whose response time exceeds its
-// (implicit) deadline, which every consumer treats as failure — yields
-// infinite WCRT and Stable = false; bounding the fixed-point iteration at
-// the deadline keeps near-saturation hp sets cheap to reject.
+// It is AnalyzeMask with every task of hp selected.
 func Analyze(t Task, hp []Task) Result {
-	rw, err := WCRTBounded(t.WCET, hp, t.Period)
+	return AnalyzeMask(t, hp, allMask(len(hp)))
+}
+
+// AnalyzeMask is the analysis kernel every entry point goes through: it
+// computes response times, latency, jitter and the stability verdict for
+// task t under interference from the tasks[j] whose bit j is set in hp
+// (t itself may sit in tasks, as long as its own bit is clear). No task is
+// copied and nothing is allocated. A task that is unschedulable — or
+// whose response time exceeds its (implicit) deadline, which every
+// consumer treats as failure — yields infinite WCRT and Stable = false;
+// bounding the fixed-point iteration at the deadline keeps
+// near-saturation hp sets cheap to reject.
+func AnalyzeMask(t Task, tasks []Task, hp uint64) Result {
+	rw, err := wcrt(t.WCET, tasks, hp, t.Period)
 	if err != nil {
 		return Result{WCRT: math.Inf(1), BCRT: 0, Latency: 0, Jitter: math.Inf(1)}
 	}
-	rb := BCRT(t.BCET, hp, rw)
+	rb := bcrt(t.BCET, tasks, hp, rw)
 	res := Result{
 		WCRT:    rw,
 		BCRT:    rb,
@@ -204,58 +252,38 @@ func Analyze(t Task, hp []Task) Result {
 	return res
 }
 
-// Workspace holds the reusable scratch buffers of the analysis kernels.
-// A zero Workspace is ready to use; after the first call its buffers are
-// retained, so a caller that analyzes many task sets (the batch service,
-// the priority-assignment search, campaign workers) performs no per-call
-// heap allocation beyond the result slice it chooses to keep. A Workspace
-// must not be shared between goroutines.
-type Workspace struct {
-	hp []Task
-}
-
-// HP returns the workspace's higher-priority scratch buffer, emptied and
-// grown to capacity n. The returned slice is valid until the next call
-// that uses the workspace.
-func (ws *Workspace) HP(n int) []Task {
-	if cap(ws.hp) < n {
-		ws.hp = make([]Task, 0, n)
-	}
-	ws.hp = ws.hp[:0]
-	return ws.hp
-}
-
 // AnalyzeAll analyzes every task under the priority order given by prio:
 // prio[i] is the priority of tasks[i], where larger numbers mean higher
 // priority (the paper's ρ convention) and all values are distinct. The
 // returned slice is indexed like tasks.
 func AnalyzeAll(tasks []Task, prio []int) []Result {
-	var ws Workspace
-	return AnalyzeAllInto(&ws, tasks, prio, nil)
+	return AnalyzeAllInto(tasks, prio, nil)
 }
 
-// AnalyzeAllInto is AnalyzeAll with caller-owned buffers: the workspace's
-// scratch is reused across tasks (and across calls), and the results are
-// appended into out[:0] when its capacity suffices. Passing the same
-// workspace and result slice across calls makes the whole analysis
-// allocation-free. Results are identical to AnalyzeAll's.
-func AnalyzeAllInto(ws *Workspace, tasks []Task, prio []int, out []Result) []Result {
+// AnalyzeAllInto is AnalyzeAll appending into out[:0] when its capacity
+// suffices, so a caller that keeps its result slice across calls analyzes
+// without allocating. Each task's higher-priority set is one mask built
+// from prio. It panics if prio and tasks differ in length or tasks holds
+// more than MaxMaskTasks tasks.
+func AnalyzeAllInto(tasks []Task, prio []int, out []Result) []Result {
 	if len(prio) != len(tasks) {
 		panic("rta: priority vector length mismatch")
+	}
+	if len(tasks) > MaxMaskTasks {
+		panic("rta: more than 64 tasks for a higher-priority mask")
 	}
 	if cap(out) < len(tasks) {
 		out = make([]Result, len(tasks))
 	}
 	out = out[:len(tasks)]
 	for i, t := range tasks {
-		hp := ws.HP(len(tasks))
-		for j, u := range tasks {
-			if prio[j] > prio[i] {
-				hp = append(hp, u)
+		var hp uint64
+		for j, p := range prio {
+			if p > prio[i] {
+				hp |= 1 << uint(j)
 			}
 		}
-		ws.hp = hp
-		out[i] = Analyze(t, hp)
+		out[i] = AnalyzeMask(t, tasks, hp)
 	}
 	return out
 }

@@ -437,6 +437,10 @@ func TestJobRestartDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitJob(t, j)
+	// The engine counts a job before it lets anyone see the result.
+	if st := s2.jobsEng.Stats(); st.Done != 1 {
+		t.Fatalf("jobs stats %+v right after the job finished, want done 1", st)
+	}
 	b, state, _, ok := j.Result()
 	if !ok || state != jobs.StateDone {
 		t.Fatalf("restarted job state %v", state)
@@ -480,7 +484,7 @@ func TestJobRestartDurability(t *testing.T) {
 	if h.Stats.CacheMisses != 0 {
 		t.Fatalf("stats.cache_misses = %d: the restarted service recomputed", h.Stats.CacheMisses)
 	}
-	if h.Jobs.Submitted != 1 {
+	if h.Jobs.Submitted != 1 || h.Jobs.Done != 1 {
 		t.Fatalf("jobs stats %+v", h.Jobs)
 	}
 }

@@ -32,6 +32,14 @@ func UUniFast(rng *rand.Rand, n int, u float64) []float64 {
 		panic("taskgen: UUniFast needs n > 0")
 	}
 	out := make([]float64, n)
+	uunifast(rng, out, u)
+	return out
+}
+
+// uunifast is UUniFast drawing into out (len(out) > 0), so TaskSet can
+// keep its utilizations on the stack.
+func uunifast(rng *rand.Rand, out []float64, u float64) {
+	n := len(out)
 	sum := u
 	for i := 0; i < n-1; i++ {
 		next := sum * math.Pow(rng.Float64(), 1/float64(n-1-i))
@@ -39,11 +47,10 @@ func UUniFast(rng *rand.Rand, n int, u float64) []float64 {
 		sum = next
 	}
 	out[n-1] = sum
-	return out
 }
 
 // Config parameterizes benchmark generation. The zero value is completed
-// by withDefaults to the campaign settings used for Table I / Fig. 5.
+// by NewGenerator to the campaign settings used for Table I / Fig. 5.
 type Config struct {
 	// UMin and UMax bound the total utilization, drawn uniformly
 	// (defaults 0.40 and 0.85).
@@ -55,17 +62,18 @@ type Config struct {
 	// GridPoints is the number of log-spaced periods per plant for the
 	// coefficient cache (default 12).
 	GridPoints int
-	// Plants is the benchmark plant set (default plant.Library()).
+	// Plants is the benchmark plant set (default plant.Library(), built
+	// by NewGenerator; WithDefaults leaves it as given).
 	Plants []*plant.Plant
 }
 
-// WithDefaults returns the configuration with every zero field replaced
-// by the campaign default. It is exported so callers that canonicalize
-// configurations (the analysis service's cache keys) share one
-// defaulting rule with the generator itself.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration with every zero scalar field
+// replaced by the campaign default. It is exported so callers that
+// canonicalize configurations (the analysis service's cache keys) share
+// one defaulting rule with the generator itself. It leaves Plants as
+// given: only NewGenerator builds the plant library, and no canonical
+// key reads it.
+func (c Config) WithDefaults() Config {
 	// Each field defaults independently, so a partially-specified range
 	// (say UMin alone) keeps the given bound instead of being silently
 	// replaced; an inconsistent result (min > max) is the caller's to
@@ -85,9 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.GridPoints == 0 {
 		c.GridPoints = 12
 	}
-	if c.Plants == nil {
-		c.Plants = plant.Library()
-	}
 	return c
 }
 
@@ -96,12 +101,24 @@ func (c Config) withDefaults() Config {
 type Generator struct {
 	cfg   Config
 	cache *coeffCache
+	// names[pIdx*rta.MaxMaskTasks+i] names task i of a set when it is
+	// drawn from plant pIdx: the plant's name, "#", and i.
+	names []string
 }
 
 // NewGenerator builds a generator with the given configuration.
 func NewGenerator(cfg Config) *Generator {
-	c := cfg.withDefaults()
-	return &Generator{cfg: c, cache: newCoeffCache(c.Plants, c.GridPoints)}
+	c := cfg.WithDefaults()
+	if c.Plants == nil {
+		c.Plants = plant.Library()
+	}
+	names := make([]string, 0, len(c.Plants)*rta.MaxMaskTasks)
+	for _, p := range c.Plants {
+		for i := 0; i < rta.MaxMaskTasks; i++ {
+			names = append(names, p.Name+"#"+strconv.Itoa(i))
+		}
+	}
+	return &Generator{cfg: c, cache: newCoeffCache(c.Plants, c.GridPoints), names: names}
 }
 
 // TaskSet draws one benchmark with n control tasks using rng. Each task's
@@ -115,18 +132,24 @@ func NewGenerator(cfg Config) *Generator {
 // assignments for ≥ 99.6 % of benchmarks). Tasks whose WCET would exceed
 // their period are clamped to 95 % of the period. The returned tasks carry
 // the stability coefficients (ConA, ConB) of their plant at their period.
+// The returned slice is the draw's only allocation. n is at most
+// rta.MaxMaskTasks, the width of the analysis kernels.
 func (g *Generator) TaskSet(rng *rand.Rand, n int) []rta.Task {
+	if n <= 0 || n > rta.MaxMaskTasks {
+		panic("taskgen: task-set size outside [1, 64]")
+	}
 	u := g.cfg.UMin + rng.Float64()*(g.cfg.UMax-g.cfg.UMin)
-	utils := UUniFast(rng, n, u)
+	var ubuf [rta.MaxMaskTasks]float64
+	utils := ubuf[:n]
+	uunifast(rng, utils, u)
 	tasks := make([]rta.Task, n)
 	for i := 0; i < n; i++ {
 		var (
 			task rta.Task
-			p    *plant.Plant
+			pIdx int
 		)
 		for attempt := 0; attempt < 12; attempt++ {
-			pIdx := rng.Intn(len(g.cfg.Plants))
-			p = g.cfg.Plants[pIdx]
+			pIdx = rng.Intn(len(g.cfg.Plants))
 			gIdx := rng.Intn(g.cfg.GridPoints)
 			h, con := g.cache.get(pIdx, gIdx)
 
@@ -150,26 +173,27 @@ func (g *Generator) TaskSet(rng *rand.Rand, n int) []rta.Task {
 				break // individually feasible
 			}
 		}
-		task.Name = p.Name + "#" + strconv.Itoa(i)
+		task.Name = g.names[pIdx*rta.MaxMaskTasks+i]
 		tasks[i] = task
 	}
 	return tasks
 }
 
 // coeffCache maps each (plant, grid index) to its (period, constraint)
-// entry. Since the kernel results themselves moved into the process-wide
-// cache (internal/kmemo, reached through jitter.ForPlantCached), this is
-// a thin view: it stores only the grid-period derivation and the final
-// retry outcome, while the expensive synthesis and margin analysis are
-// shared with every other generator, request, and optimizer in the
-// process. The per-entry sync.Once still coalesces concurrent workers on
-// one grid slot (and keeps the retry loop single-shot per generator).
+// entry: one slot per grid point, in a slice built with the generator and
+// indexed pIdx*points+gIdx, so a draw reaches its slot without a lock or
+// a map lookup. Since the kernel results themselves moved into the
+// process-wide cache (internal/kmemo, reached through
+// jitter.ForPlantCached), this is a thin view: it stores only the
+// grid-period derivation and the final retry outcome, while the expensive
+// synthesis and margin analysis are shared with every other generator,
+// request, and optimizer in the process. The per-slot sync.Once coalesces
+// concurrent workers on one grid slot (and keeps the retry loop
+// single-shot per generator).
 type coeffCache struct {
 	plants []*plant.Plant
 	points int
-
-	mu      sync.Mutex
-	entries map[[2]int]*cacheSlot
+	slots  []cacheSlot
 }
 
 type cacheSlot struct {
@@ -179,7 +203,7 @@ type cacheSlot struct {
 }
 
 func newCoeffCache(plants []*plant.Plant, points int) *coeffCache {
-	return &coeffCache{plants: plants, points: points, entries: make(map[[2]int]*cacheSlot)}
+	return &coeffCache{plants: plants, points: points, slots: make([]cacheSlot, len(plants)*points)}
 }
 
 // get returns the grid period and constraint for plant pIdx, grid slot
@@ -191,15 +215,7 @@ func newCoeffCache(plants []*plant.Plant, points int) *coeffCache {
 // cached, which simply makes that grid slot an always-infeasible task —
 // the priority-assignment layer handles it like any other infeasibility.
 func (c *coeffCache) get(pIdx, gIdx int) (float64, jitter.Constraint) {
-	key := [2]int{pIdx, gIdx}
-	c.mu.Lock()
-	slot, ok := c.entries[key]
-	if !ok {
-		slot = &cacheSlot{}
-		c.entries[key] = slot
-	}
-	c.mu.Unlock()
-
+	slot := &c.slots[pIdx*c.points+gIdx]
 	slot.once.Do(func() {
 		p := c.plants[pIdx]
 		frac := 0.0

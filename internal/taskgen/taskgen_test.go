@@ -3,8 +3,11 @@ package taskgen
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
+	"ctrlsched/internal/plant"
 	"ctrlsched/internal/rta"
 )
 
@@ -90,18 +93,77 @@ func TestTaskSetDeterministicWithSeed(t *testing.T) {
 func TestCoefficientCacheReuse(t *testing.T) {
 	g := NewGenerator(Config{GridPoints: 3})
 	g.Warm()
-	before := len(g.cache.entries)
-	// Generating more task sets must not add entries beyond the grid.
+	if got, want := len(g.cache.slots), len(g.cfg.Plants)*3; got != want {
+		t.Fatalf("cache has %d slots, want one per grid point (%d)", got, want)
+	}
+	// Every drawn task takes its period and constraint from the warmed
+	// slot of its plant: draws read the grid, they never extend it.
 	rng := rand.New(rand.NewSource(114))
 	for i := 0; i < 10; i++ {
-		g.TaskSet(rng, 10)
+		for _, task := range g.TaskSet(rng, 10) {
+			pIdx := -1
+			for k, p := range g.cfg.Plants {
+				if strings.HasPrefix(task.Name, p.Name+"#") {
+					pIdx = k
+				}
+			}
+			found := false
+			for gIdx := 0; gIdx < 3; gIdx++ {
+				slot := &g.cache.slots[pIdx*3+gIdx]
+				if pIdx >= 0 && slot.h == task.Period && slot.con.A == task.ConA && slot.con.B == task.ConB {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("task %s (period %v) matches no warmed slot of its plant", task.Name, task.Period)
+			}
+		}
 	}
-	if len(g.cache.entries) != before {
-		t.Fatalf("cache grew from %d to %d entries", before, len(g.cache.entries))
+}
+
+// TestTaskSetAllocatesOnlyItsSlice pins the draw's allocations: with a
+// warm coefficient cache, a task set costs the returned slice and
+// nothing else — no utilization slice and no per-task name string.
+func TestTaskSetAllocatesOnlyItsSlice(t *testing.T) {
+	g := NewGenerator(Config{})
+	g.Warm()
+	rng := rand.New(rand.NewSource(116))
+	for _, n := range []int{1, 8, 31} {
+		if allocs := testing.AllocsPerRun(100, func() { g.TaskSet(rng, n) }); allocs != 1 {
+			t.Errorf("TaskSet(%d) allocates %v times, want 1 (the returned slice)", n, allocs)
+		}
 	}
-	maxEntries := len(g.cfg.Plants) * 3
-	if before > maxEntries {
-		t.Fatalf("cache has %d entries, want ≤ %d", before, maxEntries)
+}
+
+// TestTaskNamesUnchanged pins the name table against the names the
+// generator has always given: the plant's name, "#", and the task's
+// index in its set.
+func TestTaskNamesUnchanged(t *testing.T) {
+	g := NewGenerator(Config{})
+	rng := rand.New(rand.NewSource(117))
+	for trial := 0; trial < 20; trial++ {
+		for i, task := range g.TaskSet(rng, 31) {
+			ok := false
+			for _, p := range g.cfg.Plants {
+				ok = ok || task.Name == p.Name+"#"+strconv.Itoa(i)
+			}
+			if !ok {
+				t.Fatalf("task %d named %q", i, task.Name)
+			}
+		}
+	}
+}
+
+func TestWithDefaultsLeavesPlants(t *testing.T) {
+	c := Config{}.WithDefaults()
+	if c.Plants != nil {
+		t.Fatal("WithDefaults built the plant library")
+	}
+	if c.UMin != 0.40 || c.UMax != 0.85 || c.BCETMin != 0.40 || c.BCETMax != 1.0 || c.GridPoints != 12 {
+		t.Fatalf("scalar defaults %+v", c)
+	}
+	if g := NewGenerator(Config{}); len(g.cfg.Plants) != len(plant.Library()) {
+		t.Fatalf("NewGenerator has %d plants, want the library's %d", len(g.cfg.Plants), len(plant.Library()))
 	}
 }
 

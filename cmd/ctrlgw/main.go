@@ -4,7 +4,7 @@
 // shard of the plant keyspace.
 //
 //	ctrlgw -replicas http://h1:8080,http://h2:8080 [-addr :8079]
-//	       [-affinity=true] [-vnodes 64] [-health-every 2s]
+//	       [-affinity=true] [-health-every 2s]
 //	       [-concurrency 64] [-max-queue 256] [-per-client 32]
 //	       [-drain-grace 2s]
 //	       [-breaker-threshold 3] [-breaker-cooldown 5s]
@@ -15,10 +15,11 @@
 // Requests that reference plants route by a consistent hash of the
 // plant fingerprints they touch, so repeated work on the same plant
 // always lands on the same replica. Batch requests are split item by
-// item across their owning replicas and the sub-results are merged back
-// in item order — the merged body is byte-identical to what a single
-// replica would have returned. Everything else (experiments, plantless
-// task sets with -affinity=false) round-robins.
+// item across their owning replicas, and when every owner answers 200
+// the sub-results are merged back in item order — the merged body is
+// byte-identical to what a single replica would have returned. On any
+// other outcome one replica answers the whole batch. Everything else
+// (experiments, plantless task sets with -affinity=false) round-robins.
 //
 // The gateway health-checks replicas via GET /readyz, ejects replicas
 // that fail a proxy attempt, and sheds load with 429 + Retry-After from
@@ -55,7 +56,6 @@ func main() {
 	addr := fs.String("addr", ":8079", "listen address")
 	replicas := fs.String("replicas", "", "comma-separated replica base URLs (required)")
 	affinity := fs.Bool("affinity", true, "route plant-touching requests by fingerprint consistent hash (false = round-robin everything)")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default 64)")
 	healthEvery := fs.Duration("health-every", 2*time.Second, "interval between /readyz polls of the replica set")
 	concurrency := fs.Int("concurrency", 64, "proxied requests in flight at once; further requests queue")
 	maxQueue := fs.Int("max-queue", 256, "requests that may wait for a proxy slot; beyond it requests are shed with 429 + Retry-After (negative = no queue)")
@@ -74,7 +74,6 @@ func main() {
 	if err := run(*addr, gateway.Options{
 		Replicas:         splitReplicas(*replicas),
 		NoAffinity:       !*affinity,
-		Vnodes:           *vnodes,
 		HealthEvery:      *healthEvery,
 		MaxConcurrent:    *concurrency,
 		MaxQueue:         *maxQueue,

@@ -52,9 +52,12 @@ const chaosTasksBody = `{"tasks":[{"bcet":0.05,"wcet":0.1,"period":1}]}`
 const chaosCodesignBody = `{"loops":[{"plant":"dc-servo","bcet":0.00105,"wcet":0.0015,"periods":[0.006,0.008,0.012]}],"seed":7}`
 
 // chaosScript is the fixed workload every plan replays: sync analyze
-// (plant, tasks, a failing plant), a single-plant batch (routes whole),
-// codesign cold and warm, and two async jobs that exercise the store
-// and journal seams.
+// (plant, tasks, a failing plant), a single-plant batch (a scatter of
+// one sub-request to its owner, then the whole batch through the proxy
+// if that fails), codesign cold and warm, and two async jobs that
+// exercise the store and journal seams. The script holds no batch with
+// two owners: their sub-requests run in parallel and would race for
+// fault indices, so a replay could not reproduce the schedule.
 func chaosScript() []chaosStep {
 	singlePlantBatch := `{"items":[{"plant":"dc-servo","period":0.006},{"plant":"dc-servo","period":0.008},{"plant":"dc-servo","period":0.01}]}`
 	return []chaosStep{

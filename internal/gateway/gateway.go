@@ -2,9 +2,11 @@
 // consistent-hashes analyze, codesign, and job submissions onto a set
 // of ctrlschedd replicas by plant fingerprint, so each replica's
 // process-wide kernel memo stays hot on its own shard of the plant
-// keyspace. Batch requests are split item-by-item along the same
-// hash and scatter-gathered back in item order with a merged body that
-// is byte-identical to what a single replica would have returned.
+// keyspace. Batch requests are split item by item along the same hash
+// into one sub-batch per owning replica. When every owner answers 200,
+// the answers merge back in item order into a body byte-identical to
+// what a single replica would have returned; on any other outcome the
+// whole batch goes to one replica, whose answer the client gets.
 //
 // The replica set is health-checked through each replica's GET /readyz
 // (draining or store-degraded replicas leave rotation before their
@@ -43,8 +45,6 @@ type Options struct {
 	// gateway; the switch exists to measure exactly what affinity buys
 	// (see cmd/loadgen).
 	NoAffinity bool
-	// Vnodes is the number of ring points per replica (0 means 64).
-	Vnodes int
 	// HealthEvery is the /readyz polling period (0 means 2s).
 	HealthEvery time.Duration
 	// MaxConcurrent / MaxQueue / PerClient tune the gateway's own
@@ -185,7 +185,7 @@ func (g *Gateway) rebuild() {
 			ready = append(ready, rep)
 		}
 	}
-	g.ring.Store(buildRing(ready, g.opt.Vnodes))
+	g.ring.Store(buildRing(ready))
 }
 
 // markDown takes a replica out of rotation until the next successful

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -35,11 +36,15 @@ func newFleet(t *testing.T, n int, mutate func(*Options)) *fleet {
 }
 
 // newWrappedFleet is newFleet with replica i's handler replaced by
-// wrap(i, handler) when wrap is non-nil.
+// wrap(i, handler) when wrap is non-nil. Replica i is named
+// http://replica-i and dialed to its listener: the ring places its
+// points by URL, so fixed names fix which replica owns which item, and
+// every routing-dependent case replays the same on every run.
 func newWrappedFleet(t *testing.T, n int, mutate func(*Options), wrap func(int, http.Handler) http.Handler) *fleet {
 	t.Helper()
 	f := &fleet{t: t}
 	urls := make([]string, n)
+	addrs := make(map[string]string, n) // replica-i:80 → listener address
 	for i := 0; i < n; i++ {
 		s := service.New(service.Config{Workers: 2, MaxConcurrent: 4, CacheEntries: 64})
 		count := &atomic.Int64{}
@@ -57,9 +62,18 @@ func newWrappedFleet(t *testing.T, n int, mutate func(*Options), wrap func(int, 
 		f.svcs = append(f.svcs, s)
 		f.reps = append(f.reps, srv)
 		f.counts = append(f.counts, count)
-		urls[i] = srv.URL
+		urls[i] = fmt.Sprintf("http://replica-%d", i)
+		addrs[fmt.Sprintf("replica-%d:80", i)] = srv.Listener.Addr().String()
 	}
-	opt := Options{Replicas: urls, HealthEvery: 50 * time.Millisecond}
+	var dialer net.Dialer
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if real, ok := addrs[addr]; ok {
+			addr = real
+		}
+		return dialer.DialContext(ctx, network, addr)
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	opt := Options{Replicas: urls, HealthEvery: 50 * time.Millisecond, Client: &http.Client{Transport: tr}}
 	if mutate != nil {
 		mutate(&opt)
 	}
@@ -111,6 +125,36 @@ const multiPlantBatch = `{"items":[
 	{"tasks":[{"bcet":1,"wcet":1,"period":1},{"bcet":1,"wcet":1,"period":1}]}
 ]}`
 
+// ownerOf returns the ring owner of one batch item.
+func ownerOf(g *Gateway, item string) *replica {
+	key, _ := service.RouteKey("analyze", []byte(item))
+	return g.pickAffinity(key)
+}
+
+// ownedItem returns the first of format's variants 1, 2, ... whose ring
+// owner is rep. format must name no plant, so that each variant routes
+// by its own bytes.
+func ownedItem(t *testing.T, g *Gateway, rep *replica, format string) string {
+	t.Helper()
+	for v := 1; v <= 1000; v++ {
+		if item := fmt.Sprintf(format, v); ownerOf(g, item) == rep {
+			return item
+		}
+	}
+	t.Fatalf("no variant of %s belongs to %s", format, rep.url)
+	return ""
+}
+
+// requireSplit fails the test unless body is a batch the gateway splits
+// across both replicas.
+func requireSplit(t *testing.T, g *Gateway, body string) {
+	t.Helper()
+	items, ok := service.SplitItems([]byte(body), true)
+	if !ok || len(g.groupItems(items)) != 2 {
+		t.Fatalf("batch does not split across both replicas: %s", body)
+	}
+}
+
 // TestConformanceByteIdentity is the acceptance gate of the tentpole:
 // for analyze, batch (split across replicas), codesign, and experiment
 // requests, the gateway's response must be byte-identical to a direct
@@ -126,6 +170,25 @@ func TestConformanceByteIdentity(t *testing.T) {
 	// The replica's body caps (service/http.go), not the gateway's copy.
 	overCap := strings.Repeat("x", 1<<20+1)
 	overBatchCap := strings.Repeat("x", 8<<20+1)
+
+	// Failing split batches, answered exactly as a direct replica
+	// answers the whole batch. The bad items belong to the replica that
+	// does not own item 0, so an item's index in its sub-batch differs
+	// from its batch index, and the first bad item is not the first item
+	// of any sub-batch.
+	item0 := `{"plant":"dc-servo","period":0.006}`
+	x, y := f.g.reps[0], f.g.reps[1]
+	if ownerOf(f.g, item0) == y {
+		x, y = y, x
+	}
+	invalidItem := `{"items":[` + item0 + `,{"plant":"inverted-pendulum","period":0.008},{"plant":"fast-servo","period":0.01},{"plant":"double-integrator","period":0.02},{"plant":"stable-lag","period":0.05},` +
+		ownedItem(t, f.g, y, `{"tasks":[{"bcet":2,"wcet":1,"period":%d}]}`) + `]}`
+	unknownFields := `{"items":[` + item0 + "," +
+		ownedItem(t, f.g, y, `{"tasks":[{"bcet":0.05,"wcet":0.1,"period":%d}],"unknown_a":1}`) + "," +
+		ownedItem(t, f.g, x, `{"tasks":[{"bcet":0.05,"wcet":0.1,"period":%d}],"unknown_b":1}`) + `]}`
+	for _, body := range []string{multiPlantBatch, invalidItem, unknownFields} {
+		requireSplit(t, f.g, body)
+	}
 	cases := []struct {
 		name, method, path, body string
 		status                   int // 0: any status, as long as both sides agree
@@ -137,6 +200,9 @@ func TestConformanceByteIdentity(t *testing.T) {
 		{"batch empty", "POST", "/v1/analyze/batch", `{"items":[]}`, 0},
 		{"batch malformed", "POST", "/v1/analyze/batch", `{"items":[`, 0},
 		{"batch bad item", "POST", "/v1/analyze/batch", `{"items":[{"plant":"dc-servo","period":0.006},{"plant":"nope","period":1},{"tasks":[{"bcet":2,"wcet":1,"period":1}]}]}`, 0},
+		{"batch stream invalid item", "POST", "/v1/analyze/batch?stream=1", invalidItem, http.StatusBadRequest},
+		{"batch unknown fields", "POST", "/v1/analyze/batch", unknownFields, http.StatusBadRequest},
+		{"batch stream unknown fields", "POST", "/v1/analyze/batch?stream=1", unknownFields, http.StatusBadRequest},
 		{"codesign", "POST", "/v1/codesign", `{"loops":[{"plant":"dc-servo","bcet":0.00105,"wcet":0.0015,"periods":[0.006,0.008,0.012]}],"seed":7}`, 0},
 		{"experiment", "POST", "/v1/experiments/table1", `{"benchmarks":20,"sizes":[4],"seed":3,"gen":{"grid_points":4}}`, 0},
 		{"experiment bad kind", "POST", "/v1/experiments/table9", `{}`, 0},
@@ -350,38 +416,48 @@ func TestAffinityKeepsPlantOnOneReplica(t *testing.T) {
 }
 
 // TestReplicaFailover: a dead replica is marked down on first contact
-// and traffic retargets without a client-visible failure; a draining
-// replica leaves rotation at the next health poll.
+// and traffic retargets without a client-visible failure, for a single
+// analyze and for a batch split between the dead replica and the
+// survivor; a draining replica leaves rotation at the next health poll.
 func TestReplicaFailover(t *testing.T) {
-	f := newFleet(t, 2, nil)
-
-	// Kill the replica that owns dc-servo, so the very next dc-servo
-	// request is guaranteed to hit the dead owner and trigger failover.
+	direct := httptest.NewServer(service.New(service.Config{Workers: 2}).Handler())
+	defer direct.Close()
 	body := `{"plant":"dc-servo","period":0.01}`
-	key, ok := service.RouteKey("analyze", []byte(body))
-	if !ok {
-		t.Fatal("dc-servo request unexpectedly unroutable")
-	}
-	owner := f.g.ring.Load().lookup(key)
-	var dead, alive int
-	for i, rep := range f.g.reps {
-		if rep == owner {
-			dead = i
-		} else {
-			alive = i
+	var f *fleet
+	var alive int
+	for _, path := range []string{"/v1/analyze", "/v1/analyze/batch"} {
+		f = newFleet(t, 2, nil)
+		// Kill the replica that owns dc-servo, so the very next request
+		// is guaranteed to hit the dead owner and trigger failover.
+		owner := ownerOf(f.g, body)
+		var dead int
+		for i, rep := range f.g.reps {
+			if rep == owner {
+				dead = i
+			} else {
+				alive = i
+			}
 		}
-	}
-	f.reps[dead].Close()
+		req := body
+		if path == "/v1/analyze/batch" {
+			req = `{"items":[` + body + "," + ownedItem(t, f.g, f.g.reps[alive], `{"tasks":[{"bcet":0.05,"wcet":0.1,"period":%d}]}`) + `]}`
+			requireSplit(t, f.g, req)
+		}
+		f.reps[dead].Close()
 
-	resp, respBody := doPost(t, f.gw.URL+"/v1/analyze", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("dc-servo after owner death: %d %s", resp.StatusCode, respBody)
-	}
-	if f.g.reps[dead].up.Load() {
-		t.Fatal("dead replica still marked ready after proxy error")
-	}
-	if !f.g.reps[alive].up.Load() {
-		t.Fatal("healthy replica lost ready state")
+		resp, respBody := doPost(t, f.gw.URL+path, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s after dc-servo's owner died: %d %s", path, resp.StatusCode, respBody)
+		}
+		if _, want := doPost(t, direct.URL+path, req); !bytes.Equal(respBody, want) {
+			t.Fatalf("%s after failover differs from a direct replica:\n%s\n%s", path, respBody, want)
+		}
+		if f.g.reps[dead].up.Load() {
+			t.Fatalf("%s: dead replica still marked ready after proxy error", path)
+		}
+		if !f.g.reps[alive].up.Load() {
+			t.Fatalf("%s: healthy replica lost ready state", path)
+		}
 	}
 
 	// The survivor starts draining: the health poll takes it out and the
@@ -395,6 +471,41 @@ func TestReplicaFailover(t *testing.T) {
 	resp, body2 = doPost(t, f.gw.URL+"/v1/analyze", body)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("proxy with zero replicas: %d %s", resp.StatusCode, body2)
+	}
+}
+
+// TestSingleOwnerBatchReachesOwner sends every two-plant batch whose
+// items share one owner: each must reach that owner, whichever replica
+// owns the ring point of the batch's plant set.
+func TestSingleOwnerBatchReachesOwner(t *testing.T) {
+	f := newFleet(t, 2, nil)
+	plants := []string{"dc-servo", "inverted-pendulum", "fast-servo", "double-integrator", "stable-lag"}
+	sent := 0
+	for i, a := range plants {
+		for _, b := range plants[i+1:] {
+			itemA := fmt.Sprintf(`{"plant":%q,"period":0.01}`, a)
+			itemB := fmt.Sprintf(`{"plant":%q,"period":0.02}`, b)
+			owner := ownerOf(f.g, itemA)
+			if ownerOf(f.g, itemB) != owner {
+				continue
+			}
+			idx := 0
+			if f.g.reps[1] == owner {
+				idx = 1
+			}
+			before := [2]int64{f.counts[0].Load(), f.counts[1].Load()}
+			resp, body := doPost(t, f.gw.URL+"/v1/analyze/batch", `{"items":[`+itemA+","+itemB+`]}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s + %s: %d %s", a, b, resp.StatusCode, body)
+			}
+			if got := f.counts[idx].Load() - before[idx]; got != 1 {
+				t.Errorf("%s + %s: their owner replica-%d served %d requests, want 1", a, b, idx, got)
+			}
+			sent++
+		}
+	}
+	if sent == 0 {
+		t.Fatal("no two plants share an owner")
 	}
 }
 

@@ -2,9 +2,9 @@ package gateway
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,86 +13,6 @@ import (
 
 	"ctrlsched/internal/service"
 )
-
-// TestSplitItems pins what the merge's splitter accepts: the top-level
-// items array of a valid envelope, found by parsing the top level, not
-// by searching for the key.
-func TestSplitItems(t *testing.T) {
-	cases := []struct {
-		body string
-		want []string // nil: refused
-	}{
-		{`{"meta":{"items":[9]},"items":[{"a":"]"},"x",1.5e-3,true,null,[]]}`, []string{`{"a":"]"}`, `"x"`, `1.5e-3`, `true`, `null`, `[]`}},
-		{" {\n \"items\" : [ 1 ,\t\"a\\\"]\" ] , \"z\" : {} } ", []string{`1`, `"a\"]"`}},
-		{`{"items":[]}`, []string{}},
-		{`{"ITEMS":[1]}`, []string{`1`}}, // encoding/json matches keys case-insensitively
-		{`{"items":[1],"items":[2]}`, nil},
-		{`{"items":[1],"Items":[2]}`, nil},
-		{`{"item\u0073":[1]}`, nil}, // an escaped key is refused outright
-		{`{"items":null}`, nil},
-		{`{"items":{}}`, nil},
-		{`{"meta":{}}`, nil},
-		{`[{"items":[1]}]`, nil},
-		{`{"items":[1,]}`, nil},
-		{`{"items":[1]`, nil},
-		{`{"items":[1]} x`, nil},
-		{``, nil},
-	}
-	for _, tc := range cases {
-		items, ok := splitItems([]byte(tc.body))
-		if ok != (tc.want != nil) {
-			t.Fatalf("splitItems(%q) ok=%v, want %v", tc.body, ok, tc.want != nil)
-		}
-		if len(items) != len(tc.want) {
-			t.Fatalf("splitItems(%q) = %q, want %q", tc.body, items, tc.want)
-		}
-		for i := range items {
-			if string(items[i]) != tc.want[i] {
-				t.Fatalf("splitItems(%q) item %d = %s, want %s", tc.body, i, items[i], tc.want[i])
-			}
-		}
-	}
-}
-
-// FuzzSplitItems checks the splitter against encoding/json: wherever
-// splitItems accepts a body, json.Unmarshal into
-// struct{ Items []json.RawMessage } succeeds and yields the same item
-// bytes. The seeds are real replica envelopes, each with an in-band item
-// error, plus shapes the splitter must parse around or refuse.
-func FuzzSplitItems(f *testing.F) {
-	f.Add(readGolden(f, "analyze_batch.json"))
-	envelope, _, err := service.New(service.Config{Workers: 1}).AnalyzeBatch(context.Background(),
-		[]byte(`{"items":[{"tasks":[{"name":"<a&b>","bcet":0.01,"wcet":0.02,"period":2,"plant":"inverted-pendulum"}]},{"tasks":[{"bcet":0.001,"wcet":0.002,"period":0.01}]}]}`), nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(envelope)
-	for _, body := range []string{
-		` { "items" : [ 1 , "a\"]" , {"items":[2]} , [ ] , null ] } `,
-		`{"ITEMS":[1]}`, `{"items":[1],"items":[2]}`, `{"item\u0073":[1]}`,
-		`{"items":null}`, `{"meta":{"items":[9]},"items":[true,-1.5e3]}`, `[1]`, `{"items":[1,`,
-	} {
-		f.Add([]byte(body))
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		items, ok := splitItems(body)
-		if !ok {
-			return
-		}
-		var env struct{ Items []json.RawMessage }
-		if err := json.Unmarshal(body, &env); err != nil {
-			t.Fatalf("splitItems accepted %q, which json.Unmarshal refuses: %v", body, err)
-		}
-		if len(items) != len(env.Items) {
-			t.Fatalf("splitItems found %d items in %q, json.Unmarshal %d", len(items), body, len(env.Items))
-		}
-		for i := range items {
-			if !bytes.Equal(items[i], env.Items[i]) {
-				t.Fatalf("item %d of %q: splitItems %q, json.Unmarshal %q", i, body, items[i], env.Items[i])
-			}
-		}
-	})
-}
 
 // TestBatchMergeRejectsBadReplicaBody makes one replica answer its
 // sub-batch with 200 and a body that cannot be merged. The gateway must
@@ -161,7 +81,7 @@ func TestBatchMergeRejectsBadReplicaBody(t *testing.T) {
 					_, _ = w.Write(body)
 				})
 			})
-			split, ok := splitBatch([]byte(batch))
+			split, ok := service.SplitItems([]byte(batch), true)
 			if !ok || len(f.g.groupItems(split)) != 2 {
 				t.Fatal("test batch does not split across both replicas")
 			}
@@ -175,6 +95,62 @@ func TestBatchMergeRejectsBadReplicaBody(t *testing.T) {
 			}
 			if resp.StatusCode != http.StatusBadGateway || env.Error.Message != "replica returned an unmergeable batch body" {
 				t.Fatalf("status %d, body %s; want 502 naming an unmergeable batch body", resp.StatusCode, body)
+			}
+		})
+	}
+}
+
+// TestBatchStreamSubStreamFailure makes one replica's sub-stream fail
+// after its 200 and first line. A replica's error line must end the
+// merged stream as it ended the replica's; a sub-stream that breaks off
+// must abort the client's connection, never end a 200 cleanly.
+func TestBatchStreamSubStreamFailure(t *testing.T) {
+	errLine := `{"type":"error","error":{"code":"unavailable","message":"canceled during batch: context canceled"}}` + "\n"
+	cases := []struct {
+		name string
+		fail func(w http.ResponseWriter) // after the sub-stream's first line
+	}{
+		{"error line", func(w http.ResponseWriter) { _, _ = w.Write([]byte(errLine)) }},
+		{"broken off", func(http.ResponseWriter) { panic(http.ErrAbortHandler) }},
+	}
+	for _, tc := range cases {
+		tc := tc // the replica's handler captures it
+		t.Run(tc.name, func(t *testing.T) {
+			f := newWrappedFleet(t, 2, nil, func(i int, h http.Handler) http.Handler {
+				if i != 0 {
+					return h
+				}
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path != "/v1/analyze/batch" || !service.WantsStream(r) {
+						h.ServeHTTP(w, r)
+						return
+					}
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, r)
+					first, _, _ := bytes.Cut(rec.Body.Bytes(), []byte("\n"))
+					_, _ = w.Write(append(first, '\n'))
+					w.(http.Flusher).Flush()
+					tc.fail(w)
+				})
+			})
+			requireSplit(t, f.g, multiPlantBatch)
+			resp, err := http.Post(f.gw.URL+"/v1/analyze/batch?stream=1", "application/json", strings.NewReader(multiPlantBatch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if tc.name == "broken off" {
+				if err == nil {
+					t.Fatalf("a broken-off sub-stream ended the merged stream cleanly: status %d\n%s", resp.StatusCode, body)
+				}
+				return
+			}
+			if err != nil || resp.StatusCode != http.StatusOK || !bytes.HasSuffix(body, []byte(errLine)) {
+				t.Fatalf("status %d, read error %v, body\n%s\nwant 200 ending in the replica's error line", resp.StatusCode, err, body)
+			}
+			if bytes.Contains(body, []byte(`"type":"result"`)) {
+				t.Fatalf("merged stream carries a result line after a failed sub-stream:\n%s", body)
 			}
 		})
 	}

@@ -92,10 +92,12 @@ func doGet(t *testing.T, url string) (*http.Response, []byte) {
 }
 
 // TestRouteDeadline504: a stalled replica turns into a fast 504 with
-// code "deadline" when the route class has a deadline configured.
+// code "deadline" when the route class has a deadline configured, for
+// a single analyze and for a batch split across two stalled replicas.
 func TestRouteDeadline504(t *testing.T) {
-	slow, _ := slowReplica(t)
-	g, err := New(Options{Replicas: []string{slow.URL}, DeadlineAnalyze: 50 * time.Millisecond})
+	slow0, _ := slowReplica(t)
+	slow1, _ := slowReplica(t)
+	g, err := New(Options{Replicas: []string{slow0.URL, slow1.URL}, DeadlineAnalyze: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,24 +105,32 @@ func TestRouteDeadline504(t *testing.T) {
 	gw := httptest.NewServer(g.Handler())
 	defer gw.Close()
 
-	start := time.Now()
-	resp, body := doPost(t, gw.URL+"/v1/analyze", `{"plant":"dc-servo","period":0.006}`)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504: %s", resp.StatusCode, body)
-	}
-	var env struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "deadline" {
-		t.Fatalf("body %s, want code deadline", body)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline answer took %s — the stall leaked through", elapsed)
+	format := `{"tasks":[{"bcet":0.05,"wcet":0.1,"period":%d}]}`
+	batch := `{"items":[` + ownedItem(t, g, g.reps[0], format) + "," + ownedItem(t, g, g.reps[1], format) + `]}`
+	requireSplit(t, g, batch)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/analyze", `{"plant":"dc-servo","period":0.006}`},
+		{"/v1/analyze/batch", batch},
+	} {
+		start := time.Now()
+		resp, body := doPost(t, gw.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status = %d, want 504: %s", tc.path, resp.StatusCode, body)
+		}
+		var env struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "deadline" {
+			t.Fatalf("%s: body %s, want code deadline", tc.path, body)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("%s: deadline answer took %s — the stall leaked through", tc.path, elapsed)
+		}
 	}
 
-	// The deadline is the client's verdict, not the replica's: the
+	// The deadline is the client's verdict, not the replicas': every
 	// replica must still be in rotation with its breaker closed.
 	var doc struct {
 		Replicas []replicaStatus `json:"replicas"`
@@ -129,8 +139,13 @@ func TestRouteDeadline504(t *testing.T) {
 	if err := json.Unmarshal(hb, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Replicas) != 1 || !doc.Replicas[0].Ready || doc.Replicas[0].Breaker != BreakerClosed {
-		t.Fatalf("replica status after deadline = %+v, want ready with a closed breaker", doc.Replicas)
+	if len(doc.Replicas) != 2 {
+		t.Fatalf("healthz lists %d replicas, want 2", len(doc.Replicas))
+	}
+	for _, rep := range doc.Replicas {
+		if !rep.Ready || rep.Breaker != BreakerClosed {
+			t.Fatalf("replica status after deadline = %+v, want ready with a closed breaker", doc.Replicas)
+		}
 	}
 }
 

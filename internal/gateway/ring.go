@@ -23,16 +23,13 @@ type ringPoint struct {
 	rep  *replica
 }
 
-// defaultVnodes spreads each replica over enough points that a
-// two-replica fleet splits the plant keyspace close to evenly.
-const defaultVnodes = 64
+// vnodes spreads each replica over enough points that a two-replica
+// fleet splits the plant keyspace close to evenly.
+const vnodes = 64
 
 // buildRing places vnodes points per replica, keyed by the replica URL,
 // so the layout is stable across gateway restarts.
-func buildRing(reps []*replica, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+func buildRing(reps []*replica) *ring {
 	r := &ring{reps: reps, points: make([]ringPoint, 0, len(reps)*vnodes)}
 	for _, rep := range reps {
 		for i := 0; i < vnodes; i++ {

@@ -127,6 +127,112 @@ func (r BatchResult) AppendJSON(dst []byte) []byte {
 	return append(dst, "]}\n"...)
 }
 
+// SplitItems is the envelope's reader, as AppendJSON is its writer: the
+// gateway splits batch requests and merges replica envelopes with it,
+// and RouteKey routes a batch by it. It returns the elements of the
+// top-level "items" array as sub-slices of body, in one scan after one
+// validity check. It accepts a body only where json.Unmarshal into
+// struct{ Items []json.RawMessage } gives the same elements: valid JSON
+// whose top level is an object with exactly one key encoding/json would
+// match to Items (case-insensitively; a key holding an escape is
+// refused outright), and that key's value is an array. With strict set
+// it also refuses every other top-level key, as the replicas' strict
+// decode of a BatchRequest does; without it, other keys (a
+// BatchResult's meta) are skipped.
+func SplitItems(body []byte, strict bool) (items []json.RawMessage, ok bool) {
+	if !json.Valid(body) {
+		return nil, false
+	}
+	i := skipSpace(body, 0)
+	if body[i] != '{' {
+		return nil, false
+	}
+	for i = skipSpace(body, i+1); body[i] != '}'; {
+		end := skipString(body, i)
+		key := body[i+1 : end-1]
+		i = skipSpace(body, skipSpace(body, end)+1) // past the colon
+		switch {
+		case bytes.IndexByte(key, '\\') >= 0:
+			return nil, false
+		case bytes.EqualFold(key, []byte("items")):
+			if ok || body[i] != '[' {
+				return nil, false
+			}
+			ok = true
+			for i = skipSpace(body, i+1); body[i] != ']'; {
+				end := skipValue(body, i)
+				items = append(items, body[i:end:end])
+				if i = skipSpace(body, end); body[i] == ',' {
+					i = skipSpace(body, i+1)
+				}
+			}
+			i++
+		case strict:
+			return nil, false
+		default:
+			i = skipValue(body, i)
+		}
+		if i = skipSpace(body, i); body[i] == ',' {
+			i = skipSpace(body, i+1)
+		}
+	}
+	return items, ok
+}
+
+// The scanners below walk bytes json.Valid has accepted, so they never
+// meet a malformed token or run off the end of the body.
+
+// skipSpace returns the index of the first non-whitespace byte at or
+// after i.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// skipString returns the index just past the string opening at b[i].
+func skipString(b []byte, i int) int {
+	for i++; b[i] != '"'; i++ {
+		if b[i] == '\\' {
+			i++
+		}
+	}
+	return i + 1
+}
+
+// skipValue returns the index just past the value starting at b[i],
+// tracking the nesting depth of objects and arrays.
+func skipValue(b []byte, i int) int {
+	switch b[i] {
+	case '"':
+		return skipString(b, i)
+	case '{', '[':
+		for depth := 0; ; {
+			switch b[i] {
+			case '"':
+				i = skipString(b, i)
+				continue
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return i + 1
+				}
+			}
+			i++
+		}
+	}
+	// A number, true, false or null runs to the next delimiter.
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case ',', ']', '}', ' ', '\t', '\n', '\r':
+			return i
+		}
+	}
+	return i
+}
+
 // batchItemError is the in-band envelope of one failed item.
 type batchItemError struct {
 	Error string `json:"error"`

@@ -425,6 +425,23 @@ func TestBatchHammerRace(t *testing.T) {
 	}
 }
 
+// goldenBatchBody is the request of the committed analyze_batch.json
+// fixture.
+const goldenBatchBody = `{"items":[
+	{"tasks":[
+		{"name":"a","bcet":0.05,"wcet":0.1,"period":1},
+		{"name":"b","bcet":0.1,"wcet":0.2,"period":2},
+		{"name":"c","bcet":0.2,"wcet":0.4,"period":4}
+	]},
+	{"tasks":[{"bcet":1,"wcet":1,"period":1},{"bcet":1,"wcet":1,"period":1}]},
+	{"plant":"dc-servo","period":0.006},
+	{"tasks":[{"bcet":0.01,"wcet":0.02,"period":2,"plant":"inverted-pendulum"}]},
+	{"tasks":[
+		{"name":"x","bcet":0.002,"wcet":0.004,"period":0.012,"plant":"dc-servo"},
+		{"name":"y","bcet":0.001,"wcet":0.003,"period":0.008,"plant":"fast-servo"}
+	],"method":"unsafe"}
+]}`
+
 // TestGoldenAnalyzeBatch byte-compares a fixed batch response against the
 // committed fixture, like the experiment goldens: a numerical regression
 // in any analyze kernel (rta, jitter, lqg, assign) fails this test.
@@ -432,21 +449,7 @@ func TestBatchHammerRace(t *testing.T) {
 //
 //	go test ./internal/service -run TestGolden -update
 func TestGoldenAnalyzeBatch(t *testing.T) {
-	body := []byte(`{"items":[
-		{"tasks":[
-			{"name":"a","bcet":0.05,"wcet":0.1,"period":1},
-			{"name":"b","bcet":0.1,"wcet":0.2,"period":2},
-			{"name":"c","bcet":0.2,"wcet":0.4,"period":4}
-		]},
-		{"tasks":[{"bcet":1,"wcet":1,"period":1},{"bcet":1,"wcet":1,"period":1}]},
-		{"plant":"dc-servo","period":0.006},
-		{"tasks":[{"bcet":0.01,"wcet":0.02,"period":2,"plant":"inverted-pendulum"}]},
-		{"tasks":[
-			{"name":"x","bcet":0.002,"wcet":0.004,"period":0.012,"plant":"dc-servo"},
-			{"name":"y","bcet":0.001,"wcet":0.003,"period":0.008,"plant":"fast-servo"}
-		],"method":"unsafe"}
-	]}`)
-	got, _ := mustBatch(t, New(Config{Workers: 2}), body)
+	got, _ := mustBatch(t, New(Config{Workers: 2}), []byte(goldenBatchBody))
 	path := filepath.Join("testdata", "golden", "analyze_batch.json")
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -605,6 +608,138 @@ func TestBatchResultAppendJSONMatchesEncoder(t *testing.T) {
 		var got bytes.Buffer
 		if err := experiments.EncodeJSON(&got, r); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("case %d: EncodeJSON wrote %q, %v", i, got.Bytes(), err)
+		}
+	}
+}
+
+// TestSplitItems pins what the envelope reader accepts: the top-level
+// items array of a valid envelope, found by parsing the top level, not
+// by searching for the key. The strict split, the request's, refuses
+// every other top-level key as well.
+func TestSplitItems(t *testing.T) {
+	cases := []struct {
+		body   string
+		want   []string // nil: refused
+		others bool     // other top-level keys: the strict split refuses it
+	}{
+		{`{"meta":{"items":[9]},"items":[{"a":"]"},"x",1.5e-3,true,null,[]]}`, []string{`{"a":"]"}`, `"x"`, `1.5e-3`, `true`, `null`, `[]`}, true},
+		{" {\n \"items\" : [ 1 ,\t\"a\\\"]\" ] , \"z\" : {} } ", []string{`1`, `"a\"]"`}, true},
+		{`{"items":[]}`, []string{}, false},
+		{" {\"items\" : [ {\"a\":1} ] }\n", []string{`{"a":1}`}, false},
+		{`{"ITEMS":[1]}`, []string{`1`}, false}, // encoding/json matches keys case-insensitively
+		{`{"items":[1],"items":[2]}`, nil, false},
+		{`{"items":[1],"Items":[2]}`, nil, false},
+		{`{"item\u0073":[1]}`, nil, false}, // an escaped key is refused outright
+		{`{"items":null}`, nil, false},
+		{`{"items":{}}`, nil, false},
+		{`{"meta":{}}`, nil, true},
+		{`[{"items":[1]}]`, nil, false},
+		{`{"items":[1,]}`, nil, false},
+		{`{"items":[1]`, nil, false},
+		{`{"items":[1]} x`, nil, false},
+		{``, nil, false},
+	}
+	for _, tc := range cases {
+		for _, strict := range []bool{false, true} {
+			want := tc.want
+			if strict && tc.others {
+				want = nil
+			}
+			items, ok := SplitItems([]byte(tc.body), strict)
+			if ok != (want != nil) {
+				t.Fatalf("SplitItems(%q, %v) ok=%v, want %v", tc.body, strict, ok, want != nil)
+			}
+			if len(items) != len(want) {
+				t.Fatalf("SplitItems(%q, %v) = %q, want %q", tc.body, strict, items, want)
+			}
+			for i := range items {
+				if string(items[i]) != want[i] {
+					t.Fatalf("SplitItems(%q, %v) item %d = %s, want %s", tc.body, strict, i, items[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// splitSeeds are bodies the envelope reader must parse around or
+// refuse.
+var splitSeeds = []string{
+	` { "items" : [ 1 , "a\"]" , {"items":[2]} , [ ] , null ] } `,
+	`{"ITEMS":[1]}`, `{"items":[1],"items":[2]}`, `{"item\u0073":[1]}`,
+	`{"items":null}`, `{"meta":{"items":[9]},"items":[true,-1.5e3]}`, `[1]`, `{"items":[1,`,
+}
+
+// FuzzSplitItems checks the merge's reader against encoding/json:
+// wherever SplitItems accepts a body, json.Unmarshal into
+// struct{ Items []json.RawMessage } succeeds and yields the same item
+// bytes. The seeds are real replica envelopes, each with an in-band item
+// error, plus shapes the reader must parse around or refuse.
+func FuzzSplitItems(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "analyze_batch.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	envelope, _, err := New(Config{Workers: 1}).AnalyzeBatch(context.Background(),
+		[]byte(`{"items":[{"tasks":[{"name":"<a&b>","bcet":0.01,"wcet":0.02,"period":2,"plant":"inverted-pendulum"}]},{"tasks":[{"bcet":0.001,"wcet":0.002,"period":0.01}]}]}`), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(envelope)
+	for _, body := range splitSeeds {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		items, ok := SplitItems(body, false)
+		if !ok {
+			return
+		}
+		var env struct{ Items []json.RawMessage }
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatalf("SplitItems accepted %q, which json.Unmarshal refuses: %v", body, err)
+		}
+		equalItems(t, body, items, env.Items)
+	})
+}
+
+// FuzzSplitBatchRequest checks the request's strict split against the
+// replicas' strict decode: wherever SplitItems(body, true) accepts a
+// body, a json.Decoder with DisallowUnknownFields decodes it into
+// struct{ Items []json.RawMessage }, with nothing after the value, and
+// yields the same item bytes. The split may refuse more, never less:
+// a refused body goes to a replica whole.
+func FuzzSplitBatchRequest(f *testing.F) {
+	f.Add([]byte(goldenBatchBody))
+	f.Add([]byte(batchKind.example))
+	for _, body := range splitSeeds {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		items, ok := SplitItems(body, true)
+		if !ok {
+			return
+		}
+		var env struct{ Items []json.RawMessage }
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&env); err != nil {
+			t.Fatalf("the strict split accepted %q, which the strict decode refuses: %v", body, err)
+		}
+		if dec.More() {
+			t.Fatalf("the strict split accepted %q, which has data after its value", body)
+		}
+		equalItems(t, body, items, env.Items)
+	})
+}
+
+func equalItems(t *testing.T, body []byte, got, want []json.RawMessage) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("SplitItems found %d items in %q, encoding/json %d", len(got), body, len(want))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("item %d of %q: SplitItems %q, encoding/json %q", i, body, got[i], want[i])
 		}
 	}
 }

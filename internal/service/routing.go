@@ -85,10 +85,6 @@ type routeAnalyzeRef struct {
 	Tasks []routeTaskRef `json:"tasks"`
 }
 
-type routeBatchRef struct {
-	Items []json.RawMessage `json:"items"`
-}
-
 type routeCodesignRef struct {
 	BaseTasks []routeTaskRef `json:"base_tasks"`
 	Loops     []routeTaskRef `json:"loops"`
@@ -107,10 +103,11 @@ func RouteKey(kind string, body []byte) (key [32]byte, ok bool) {
 		names := collectPlants(nil, ref)
 		return routeDigest(kind, names, body), true
 	case kindAnalyzeBatch:
-		var ref routeBatchRef
-		_ = json.Unmarshal(body, &ref)
+		// A body the strict split refuses names no plant: it routes by
+		// its bytes.
+		items, _ := SplitItems(body, true)
 		var names []string
-		for _, item := range ref.Items {
+		for _, item := range items {
 			var ir routeAnalyzeRef
 			_ = json.Unmarshal(item, &ir)
 			names = collectPlants(names, ir)

@@ -209,9 +209,11 @@ func BenchmarkAssignUnsafeQuadratic20(b *testing.B) {
 	}
 }
 
-// Ablation: memoization of the backtracking search (the README's
-// "Benchmarks" section notes the memoized evaluator; the paper's
-// Algorithm 1 does not memoize).
+// Ablation: the failed-set memo of the backtracking search (the
+// README's "Benchmarks" section; the paper's Algorithm 1 does not
+// memoize) on a 16-task generator set. With the memo a candidate set
+// whose subtree failed once is never searched again; the search keeps
+// its DFS order, so the memo costs only its map where nothing fails.
 func BenchmarkAblationBacktrackingMemoized(b *testing.B) {
 	sharedGen.Warm()
 	rng := rand.New(rand.NewSource(10))
@@ -219,6 +221,45 @@ func BenchmarkAblationBacktrackingMemoized(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		assign.BacktrackingOpts(tasks, assign.Options{Memoize: true})
+	}
+}
+
+// BenchmarkAnalyzeWorstCase is the slowest single /v1/analyze known: 20
+// tasks of which the fifth and sixth are stable only at the top level,
+// so no assignment exists, nothing short of the search sees it, and the
+// memoized search runs until assign.SearchBudget evaluations are spent.
+// Every iteration renames a task, so the result cache never answers.
+// One op is the wall time the budget lets a single analyze take.
+func BenchmarkAnalyzeWorstCase(b *testing.B) {
+	s := service.New(service.Config{})
+	body := func(i int) []byte {
+		var buf bytes.Buffer
+		fmt.Fprintf(&buf, `{"tasks":[`)
+		for k := 0; k < 20; k++ {
+			h, bcet, wcet, conB := 0.010+0.001*float64(k), 0.0002, 0.0004, 0.010+0.001*float64(k)
+			if k == 4 || k == 5 {
+				bcet, conB = 0.0004, 0.0004
+			}
+			if k > 0 {
+				buf.WriteByte(',')
+			}
+			fmt.Fprintf(&buf, `{"name":"t%d-%d","bcet":%g,"wcet":%g,"period":%g,"con_a":1,"con_b":%g}`, k, i, bcet, wcet, h, conB)
+		}
+		buf.WriteString(`]}`)
+		return buf.Bytes()
+	}
+	res, _, err := s.Analyze(context.Background(), body(-1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !bytes.Contains(res, []byte(`"aborted":true`)) {
+		b.Fatalf("the worst case no longer exhausts the budget: %s", res)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, hit, err := s.Analyze(context.Background(), body(i)); err != nil || hit {
+			b.Fatalf("hit=%v err=%v", hit, err)
+		}
 	}
 }
 

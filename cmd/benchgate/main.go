@@ -40,9 +40,9 @@ const (
 	// gated names the root-package benchmarks the gate runs: the paper's
 	// kernels (Algorithm 1, the Table I campaign of one fleet job, the
 	// Fig. 2 LQG cost, the Fig. 4 jitter margin), the co-design engine
-	// and its co-simulation, and the service's batch, cache-hit and
-	// job-submit paths.
-	gated = `^Benchmark(AssignBacktracking20|Table1Job|Fig2Point|Fig4Margin|CodesignCold|CosimLoop|AnalyzeBatch64|AnalyzeHit|JobSubmitHit)$`
+	// and its co-simulation, and the service's batch, cache-hit,
+	// job-submit and worst-case analyze paths.
+	gated = `^Benchmark(AssignBacktracking20|Table1Job|Fig2Point|Fig4Margin|CodesignCold|CosimLoop|AnalyzeBatch64|AnalyzeHit|JobSubmitHit|AnalyzeWorstCase)$`
 
 	pairs     = 10
 	minLosses = 9

@@ -13,7 +13,10 @@
 //   - Backtracking — the paper's Algorithm 1: lowest-priority-first
 //     assignment that recurses over every stable candidate and backtracks
 //     on failure. Sound and complete; worst-case exponential, quadratic
-//     on average because anomalies are rare.
+//     on average because anomalies are rare. With Options.Memoize it
+//     also remembers every set of remaining tasks that cannot be
+//     completed, so no set is searched twice and an infeasible set
+//     costs at most one expansion per subset instead of one per order.
 //   - UnsafeQuadratic — the baseline of reference [20] "modified to use
 //     the exact response times": at each level it assigns the remaining
 //     task with maximum stability slack, never backtracks, and never
@@ -30,6 +33,7 @@ package assign
 
 import (
 	"math"
+	"math/bits"
 
 	"ctrlsched/internal/rta"
 )
@@ -63,17 +67,37 @@ type Result struct {
 
 // Options tunes the backtracking algorithm.
 type Options struct {
-	// Memoize caches feasibility of (task, candidate-set) pairs across
-	// the search. The paper's Algorithm 1 does not memoize; enabling it
-	// is an ablation that trades memory for worst-case time.
+	// Memoize remembers every candidate set whose subtree the search has
+	// explored to the end without finding an assignment, and fails that
+	// set at once when another branch reaches it. Whether a set of
+	// remaining tasks can fill the levels above those already assigned
+	// depends only on the set (lower-priority tasks never interfere), so
+	// no set is ever expanded twice and no (set, task) evaluation is
+	// repeated. Skipping a subtree known to fail leaves the DFS order as
+	// it is: a search that finishes returns the same Valid, Priorities
+	// and Evaluations as without the memo, in fewer Backtracks. The
+	// paper's Algorithm 1 does not memoize; enabling it trades memory
+	// (one entry per failed set) for worst-case time.
 	Memoize bool
-	// MaxEvaluations, when positive, aborts the search after that many
-	// exact response-time evaluations. An aborted search reports
-	// Aborted=true and Valid=false: "no assignment found within budget",
-	// NOT a proof of infeasibility. Use it to bound the exponential
-	// worst case on (mostly infeasible) instances.
+	// MaxEvaluations, when positive, aborts the search at the first
+	// recursion step after that many exact response-time evaluations.
+	// An aborted search stops at once, reports Aborted=true and
+	// Valid=false — "no assignment found within budget", NOT a proof of
+	// infeasibility — and marks no set as failed. Use it to bound the
+	// exponential worst case on (mostly infeasible) instances.
 	MaxEvaluations int
 }
+
+// SearchBudget is the MaxEvaluations of every memoized search a request
+// reaches: the service's backtracking analyze and the co-design
+// engine's DefaultAssign. With the failed-set memo, evaluations, not
+// recursion steps, bind, so the budget is sized in wall time: the
+// slowest searches known to exhaust it, 20- and 24-task sets with two
+// tasks stable only at the top level, stop after 0.10–0.15 s on a
+// 2-vCPU host (BENCH_results.txt), while no search on the default
+// generator at 12 to 24 tasks needs more than a few thousand
+// evaluations.
+const SearchBudget = 500_000
 
 // evalRecord is the exact per-level analysis outcome of one (candidate
 // set, task) pair: the stability slack b − (L + a·J) at the lowest
@@ -88,60 +112,21 @@ type evalRecord struct {
 // evaluator runs the exact response-time evaluations of one assignment
 // search. A candidate set is already a bitmask over the search's task
 // slice, so each evaluation hands it straight to rta.AnalyzeMask: no task
-// is copied and nothing is allocated per evaluation. When memoization is
-// on, the evaluator also keeps a cache of full evalRecords keyed by
-// (candidate set, task), so a WCRT established once is never recomputed
-// anywhere in the search.
+// is copied and nothing is allocated per evaluation.
 type evaluator struct {
 	tasks []rta.Task
-	memo  map[uint64]evalRecord // nil disables memoization
 	stats *Stats
 }
 
-func newEvaluator(tasks []rta.Task, memoize bool, stats *Stats) *evaluator {
-	e := &evaluator{tasks: tasks, stats: stats}
-	if memoize {
-		e.memo = make(map[uint64]evalRecord)
-	}
-	return e
-}
-
-// reset rebinds an evaluator to a new search without dropping its memo
-// map: the map is cleared, not reallocated. Memo entries never survive a
-// reset — they are only meaningful for one fixed task slice.
-func (e *evaluator) reset(tasks []rta.Task, memoize bool, stats *Stats) {
-	e.tasks, e.stats = tasks, stats
-	switch {
-	case !memoize:
-		e.memo = nil
-	case e.memo == nil:
-		e.memo = make(map[uint64]evalRecord)
-	default:
-		clear(e.memo)
-	}
-}
-
-// record computes (or recalls) the exact analysis record of tasks[i] at
-// the lowest priority among the subset `set` (hp = set \ {i}).
+// record computes the exact analysis record of tasks[i] at the lowest
+// priority among the subset `set` (hp = set \ {i}).
 func (e *evaluator) record(set uint32, i int) evalRecord {
-	key := uint64(set)<<8 | uint64(i)
-	if e.memo != nil {
-		if rec, ok := e.memo[key]; ok {
-			return rec
-		}
-	}
 	e.stats.Evaluations++
 	res := rta.AnalyzeMask(e.tasks[i], e.tasks, uint64(set&^(1<<uint(i))))
-	var rec evalRecord
 	if math.IsInf(res.WCRT, 1) || !res.DeadlineMet {
-		rec = evalRecord{slack: math.Inf(-1), stable: false}
-	} else {
-		rec = evalRecord{slack: e.tasks[i].Slack(res.Latency, res.Jitter), stable: res.Stable}
+		return evalRecord{slack: math.Inf(-1), stable: false}
 	}
-	if e.memo != nil {
-		e.memo[key] = rec
-	}
-	return rec
+	return evalRecord{slack: e.tasks[i].Slack(res.Latency, res.Jitter), stable: res.Stable}
 }
 
 // feasible reports whether tasks[i] is stable at the lowest priority of
@@ -187,31 +172,31 @@ func Backtracking(tasks []rta.Task) Result {
 // BacktrackingOpts runs Algorithm 1 with a fresh Searcher. Callers that
 // search many task-set variants in a loop (the co-design engine, the
 // batch service) should hold a Searcher and call its Backtracking method
-// instead, so the scratch buffers and the memo map are reused across
-// searches.
+// instead, so the priority buffer and the failed-set memo are reused
+// across searches.
 func BacktrackingOpts(tasks []rta.Task, opt Options) Result {
 	var s Searcher
 	return s.Backtracking(tasks, opt)
 }
 
 // Searcher owns the reusable state of repeated backtracking searches:
-// the evaluator's memo map, the per-level candidate buffers, and the
-// priority scratch vector. A zero Searcher is ready to use; after the
-// first search its buffers are retained, so searching many task-set
-// variants of the same size performs no per-search heap allocation
-// beyond the returned Priorities slice. A Searcher must not
-// be shared between goroutines.
+// the priority scratch vector and the memo of failed candidate sets. A
+// zero Searcher is ready to use; after the first search its buffers are
+// retained, so searching many task-set variants of the same size
+// performs no per-search heap allocation beyond the returned Priorities
+// slice and new memo entries. A Searcher must not be shared between
+// goroutines.
 type Searcher struct {
-	ev       evaluator
-	orderBuf []int
-	prio     []int
+	prio []int
+	dead map[uint32]struct{}
 }
 
 // Backtracking runs the paper's Algorithm 1 on this searcher's reusable
 // buffers: assign priority levels bottom-up; at each level try every
-// remaining task that is stable there, recurse, and backtrack when the
-// remainder cannot be completed. Complete: if any stable assignment
-// exists, one is returned. Results are identical to BacktrackingOpts.
+// remaining task that is stable there, in index order, recurse, and
+// backtrack when the remainder cannot be completed. Complete: if any
+// stable assignment exists, one is returned. Results are identical to
+// BacktrackingOpts.
 func (s *Searcher) Backtracking(tasks []rta.Task, opt Options) Result {
 	n := len(tasks)
 	if n == 0 {
@@ -230,42 +215,36 @@ func (s *Searcher) Backtracking(tasks []rta.Task, opt Options) Result {
 		}
 	}
 	res := Result{}
-	s.ev.reset(tasks, opt.Memoize, &res.Stats)
-	ev := &s.ev
-
-	// Per-level candidate buffers (one row per recursion depth) and the
-	// priority vector are retained across searches.
+	ev := evaluator{tasks: tasks, stats: &res.Stats}
 	if cap(s.prio) < n {
 		s.prio = make([]int, n)
 	}
 	prio := s.prio[:n]
-	if cap(s.orderBuf) < n*n {
-		s.orderBuf = make([]int, n*n)
+	// dead holds every remaining set proven impossible to complete; nil
+	// without Memoize.
+	var dead map[uint32]struct{}
+	if opt.Memoize {
+		if s.dead == nil {
+			s.dead = make(map[uint32]struct{})
+		}
+		clear(s.dead)
+		dead = s.dead
 	}
-	orderBuf := s.orderBuf[:n*n]
 
-	// nodes counts recursion entries. With memoization a search can walk
-	// an exponential tree of cached states without new evaluations, so
-	// the budget must bound both quantities.
-	nodes := 0
 	var bt func(remaining uint32, level int) bool
 	bt = func(remaining uint32, level int) bool {
 		if remaining == 0 {
 			return true
 		}
-		nodes++
-		if opt.MaxEvaluations > 0 &&
-			(res.Stats.Evaluations >= opt.MaxEvaluations || nodes >= opt.MaxEvaluations) {
+		if _, failed := dead[remaining]; failed {
+			return false
+		}
+		if opt.MaxEvaluations > 0 && res.Stats.Evaluations >= opt.MaxEvaluations {
 			res.Aborted = true
 			return false
 		}
-		order := orderBuf[(level-1)*n : (level-1)*n : level*n]
-		for i := 0; i < n; i++ {
-			if remaining&(1<<uint(i)) != 0 {
-				order = append(order, i)
-			}
-		}
-		for _, i := range order {
+		for rest := remaining; rest != 0; rest &= rest - 1 {
+			i := bits.TrailingZeros32(rest)
 			if !ev.feasible(remaining, i) {
 				continue
 			}
@@ -273,7 +252,13 @@ func (s *Searcher) Backtracking(tasks []rta.Task, opt Options) Result {
 			if bt(remaining&^(1<<uint(i)), level+1) {
 				return true
 			}
+			if res.Aborted {
+				return false
+			}
 			res.Stats.Backtracks++
+		}
+		if dead != nil {
+			dead[remaining] = struct{}{}
 		}
 		return false
 	}
@@ -304,7 +289,7 @@ func UnsafeQuadratic(tasks []rta.Task) Result {
 	if n > MaxTasks {
 		panic("assign: too many tasks for bitmask representation")
 	}
-	ev := newEvaluator(tasks, false, &res.Stats)
+	ev := evaluator{tasks: tasks, stats: &res.Stats}
 	remaining := uint32(1)<<uint(n) - 1
 	valid := true
 	for level := 1; level <= n; level++ {
@@ -341,10 +326,10 @@ func AudsleyGreedy(tasks []rta.Task) Result {
 		panic("assign: too many tasks for bitmask representation")
 	}
 	prio := make([]int, n)
-	// No memo: the greedy candidate set strictly shrinks each level, so a
-	// (set, task) pair can never recur, and the n² exact evaluations
+	// The greedy candidate set strictly shrinks each level, so a
+	// (set, task) pair never recurs, and the n² exact evaluations
 	// allocate nothing.
-	ev := newEvaluator(tasks, false, &res.Stats)
+	ev := evaluator{tasks: tasks, stats: &res.Stats}
 	remaining := uint32(1)<<uint(n) - 1
 	for level := 1; level <= n; level++ {
 		assigned := false

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ctrlsched/internal/rta"
+	"ctrlsched/internal/taskgen"
 )
 
 // randomTaskSet draws a small synthetic task set with tight-ish stability
@@ -97,16 +99,17 @@ func TestBacktrackingEmptyAndSingle(t *testing.T) {
 		t.Fatal("hopeless task assigned")
 	}
 	// The same impossible constraint on the sixth of 12 tasks whose
-	// other 11 fit in any order: a search alone would walk the service's
-	// whole budget (2,000,037 backtracks) and answer aborted, not
-	// infeasible.
+	// other 11 fit in any order: the never-stable pre-check answers
+	// infeasible before any search (a search without the failed-set memo
+	// walked a 2,000,000-step budget, 2,000,037 backtracks, and answered
+	// aborted).
 	set := make([]rta.Task, 12)
 	for i := range set {
 		h := 0.010 + 0.001*float64(i)
 		set[i] = rta.Task{Name: fmt.Sprint("t", i), BCET: 0.0002, WCET: 0.0004, Period: h, ConA: 1, ConB: h}
 	}
 	set[5].ConB = 0.0001
-	if res := BacktrackingOpts(set, Options{Memoize: true, MaxEvaluations: 2_000_000}); res.Valid || res.Aborted {
+	if res := BacktrackingOpts(set, Options{Memoize: true, MaxEvaluations: SearchBudget}); res.Valid || res.Aborted {
 		t.Fatalf("12-task set with a never-stable task: valid=%v aborted=%v after %d evaluations, want a verdict of infeasible",
 			res.Valid, res.Aborted, res.Stats.Evaluations)
 	}
@@ -299,6 +302,76 @@ func TestMemoizationReducesEvaluations(t *testing.T) {
 		if memo.Stats.Evaluations > plain.Stats.Evaluations {
 			t.Fatalf("trial %d: memoized %d > plain %d evaluations", trial, memo.Stats.Evaluations, plain.Stats.Evaluations)
 		}
+	}
+}
+
+// topOnlySet returns n tasks (n ≥ 6) that each fit at any level but
+// the fifth and sixth, which are stable only at the top level: no
+// assignment exists, and the never-stable pre-check does not see it.
+func topOnlySet(n int) []rta.Task {
+	set := make([]rta.Task, n)
+	for i := range set {
+		h := 0.010 + 0.001*float64(i)
+		set[i] = rta.Task{Name: fmt.Sprint("t", i), BCET: 0.0002, WCET: 0.0004, Period: h, ConA: 1, ConB: h}
+	}
+	for _, i := range []int{4, 5} {
+		set[i].BCET, set[i].WCET, set[i].ConB = 0.0004, 0.0004, 0.0004
+	}
+	return set
+}
+
+// TestFailedSetMemoKeepsEveryAnswer: on seeded generator sets of 1 to 9
+// tasks, Backtracking with and without Memoize returns the same Valid
+// and Priorities, and its verdict is Exhaustive's. The 7-task top-only
+// set makes sure the memo fails a set it has met before.
+func TestFailedSetMemoKeepsEveryAnswer(t *testing.T) {
+	gen := taskgen.NewGenerator(taskgen.Config{GridPoints: 6})
+	rng := rand.New(rand.NewSource(128))
+	var sets [][]rta.Task
+	for n := 1; n <= 9; n++ {
+		count := 40 // Exhaustive tries all n! orders of an infeasible set
+		switch n {
+		case 8:
+			count = 12
+		case 9:
+			count = 4
+		}
+		for k := 0; k < count; k++ {
+			sets = append(sets, gen.TaskSet(rng, n))
+		}
+	}
+	sets = append(sets, topOnlySet(7))
+	infeasible, pruned := 0, 0
+	for k, tasks := range sets {
+		plain := Backtracking(tasks)
+		memo := BacktrackingOpts(tasks, Options{Memoize: true})
+		if memo.Valid != plain.Valid || !reflect.DeepEqual(memo.Priorities, plain.Priorities) {
+			t.Fatalf("set %d (n=%d): memoized %+v, plain %+v", k, len(tasks), memo, plain)
+		}
+		if ex := Exhaustive(tasks); ex.Valid != memo.Valid {
+			t.Fatalf("set %d (n=%d): backtracking valid=%v, exhaustive valid=%v", k, len(tasks), memo.Valid, ex.Valid)
+		}
+		if !memo.Valid {
+			infeasible++
+		}
+		if memo.Stats.Backtracks < plain.Stats.Backtracks {
+			pruned++
+		}
+	}
+	if infeasible == 0 || pruned == 0 {
+		t.Fatalf("degenerate sampling: %d infeasible sets, %d searches the memo pruned", infeasible, pruned)
+	}
+}
+
+// TestServiceBudgetDecidesTopOnlySet: under the service's options the
+// 12-task top-only set is proven infeasible. Without the failed-set
+// memo the search re-walked the same subtrees and ran out of budget
+// (2,000,027 backtracks, aborted).
+func TestServiceBudgetDecidesTopOnlySet(t *testing.T) {
+	res := BacktrackingOpts(topOnlySet(12), Options{Memoize: true, MaxEvaluations: SearchBudget})
+	if res.Valid || res.Aborted {
+		t.Fatalf("valid=%v aborted=%v after %d evaluations and %d backtracks, want a proof of infeasibility",
+			res.Valid, res.Aborted, res.Stats.Evaluations, res.Stats.Backtracks)
 	}
 }
 

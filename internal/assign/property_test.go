@@ -1,7 +1,6 @@
 package assign
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -106,62 +105,14 @@ func TestPrecheckNeverRejectsSolvableSet(t *testing.T) {
 	}
 }
 
-// TestMemoizedSlackMatchesUnmemoized pins the tentpole's memoized
-// evaluator against fresh unmemoized evaluation on 1000 random
-// (task set, candidate subset, task) queries, with every query repeated
-// so both the fill and the hit path are exercised: the cached slack and
-// stability verdict must equal the recomputed ones bit for bit.
-func TestMemoizedSlackMatchesUnmemoized(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	queries := 0
-	for queries < 1000 {
-		n := 2 + rng.Intn(7)
-		tasks := randomTaskSet(rng, n)
-		var memoStats Stats
-		memo := newEvaluator(tasks, true, &memoStats)
-		for q := 0; q < 25 && queries < 1000; q++ {
-			set := uint32(rng.Intn(1<<uint(n)-1) + 1)
-			// Pick a member of the set.
-			var members []int
-			for i := 0; i < n; i++ {
-				if set&(1<<uint(i)) != 0 {
-					members = append(members, i)
-				}
-			}
-			i := members[rng.Intn(len(members))]
-
-			var freshStats Stats
-			fresh := newEvaluator(tasks, false, &freshStats)
-			wantSlack, wantStable := fresh.slack(set, i)
-			for rep := 0; rep < 2; rep++ { // fill, then hit
-				gotSlack, gotStable := memo.slack(set, i)
-				if gotStable != wantStable ||
-					(gotSlack != wantSlack && !(math.IsInf(gotSlack, -1) && math.IsInf(wantSlack, -1))) {
-					t.Fatalf("n=%d set=%b task=%d rep=%d: memoized (%v, %v) != unmemoized (%v, %v)",
-						n, set, i, rep, gotSlack, gotStable, wantSlack, wantStable)
-				}
-				if gotFeasible := memo.feasible(set, i); gotFeasible != wantStable {
-					t.Fatalf("feasible/slack verdicts disagree on the same record")
-				}
-			}
-			queries++
-		}
-		// The repeats must have been served from the memo: one exact
-		// evaluation per distinct (set, task) query at most.
-		if memoStats.Evaluations > 25 {
-			t.Fatalf("memoized evaluator recomputed: %d evaluations for ≤ 25 distinct queries", memoStats.Evaluations)
-		}
-	}
-}
-
-// TestEvaluatorAllocationFree verifies that an unmemoized evaluator
-// performs no per-query heap allocation: each candidate set goes to the
+// TestEvaluatorAllocationFree verifies that the evaluator performs no
+// per-query heap allocation: each candidate set goes to the
 // rta mask kernel without a copy, and there is no scratch to warm.
 func TestEvaluatorAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tasks := randomTaskSet(rng, 10)
 	var stats Stats
-	ev := newEvaluator(tasks, false, &stats)
+	ev := evaluator{tasks: tasks, stats: &stats}
 	full := uint32(1)<<10 - 1
 	allocs := testing.AllocsPerRun(200, func() {
 		ev.record(full, 3)

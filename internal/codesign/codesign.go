@@ -131,7 +131,7 @@ type AssignFunc func(searcher *assign.Searcher, tasks []rta.Task) assign.Result
 // DefaultAssign is the engine default: the paper's backtracking
 // Algorithm 1, memoized and budgeted.
 func DefaultAssign(s *assign.Searcher, tasks []rta.Task) assign.Result {
-	return s.Backtracking(tasks, assign.Options{Memoize: true, MaxEvaluations: 2_000_000})
+	return s.Backtracking(tasks, assign.Options{Memoize: true, MaxEvaluations: assign.SearchBudget})
 }
 
 // Options tunes a synthesis run. The zero value picks the defaults.

@@ -13,9 +13,10 @@ import (
 )
 
 // SchemaVersion is bumped whenever the JSON shape of any result type
-// changes incompatibly. It is part of every result's metadata and of the
-// service layer's cache keys, so stale cached bytes can never be served
-// across a schema change.
+// changes incompatibly, or a request's result bytes change (say, a
+// budgeted search that now decides what it used to abort). It is part
+// of every result's metadata and of the service layer's cache keys, so
+// stale cached bytes can never be served across such a change.
 const SchemaVersion = 1
 
 // Experiment kinds, as used in result metadata, service cache keys, and

@@ -24,8 +24,9 @@ import (
 // failure a client sees is a replica's own answer to the whole batch or
 // the proxy's; only a 200 body that cannot be merged answers 502.
 // The merged body is byte-identical to a single replica's response for
-// the same batch: each sub-batch body is validated once and its item
-// bytes are cut out of it unchanged (service.SplitItems), and the
+// the same batch: each sub-batch body is read into a buffer sized by
+// its Content-Length (service.ReadSized), one scan validates it and
+// cuts its item bytes out unchanged (service.SplitItems), and the
 // envelope is written by the one function the replicas write theirs
 // with, service.BatchResult.AppendJSON.
 
@@ -152,7 +153,8 @@ func (g *Gateway) scatter(ctx context.Context, cancel context.CancelFunc, header
 				return
 			}
 			if resp.StatusCode == http.StatusOK && !stream {
-				grp.body, err = io.ReadAll(io.LimitReader(resp.Body, service.MaxBatchBodyBytes*4))
+				const limit = service.MaxBatchBodyBytes * 4
+				grp.body, err = service.ReadSized(io.LimitReader(resp.Body, limit), min(resp.ContentLength, limit))
 			}
 			if resp.StatusCode != http.StatusOK || err != nil {
 				resp.Body.Close()

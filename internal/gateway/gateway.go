@@ -378,11 +378,12 @@ func (g *Gateway) withAdmission(h http.Handler) http.Handler {
 	})
 }
 
-// readCapped reads at most limit+1 body bytes: one byte past the cap is
-// enough for the replica to answer its canonical 413 when the body is
-// forwarded.
+// readCapped reads at most limit+1 body bytes, into one buffer when the
+// request announces a length service.ReadSized trusts: one byte past
+// the cap is enough for the replica to answer its canonical 413 when
+// the body is forwarded.
 func readCapped(r *http.Request, limit int64) ([]byte, error) {
-	return io.ReadAll(io.LimitReader(r.Body, limit+1))
+	return service.ReadSized(io.LimitReader(r.Body, limit+1), min(r.ContentLength, limit+1))
 }
 
 // relayHeaders is the response-header subset that travels back through

@@ -10,11 +10,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"ctrlsched/internal/service"
@@ -753,5 +755,27 @@ func TestGatewayRaceHammer(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestReadCappedHeaderOnlyAllocatesLittle hands readCapped requests that
+// announce the batch cap in Content-Length and end without a body byte,
+// as a client does that sends only headers and hangs up. The gateway
+// must not allocate the announced length before the bytes arrive.
+func TestReadCappedHeaderOnlyAllocatesLittle(t *testing.T) {
+	const reads = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		r := httptest.NewRequest(http.MethodPost, "/v1/analyze/batch", iotest.ErrReader(io.ErrUnexpectedEOF))
+		r.ContentLength = service.MaxBatchBodyBytes
+		if _, err := readCapped(r, service.MaxBatchBodyBytes); err == nil {
+			t.Fatal("a body that ended before its announced length was read without error")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per > service.MaxBatchBodyBytes/8 {
+		t.Fatalf("a header-only request announcing %d bytes allocated %d bytes per read, want at most %d",
+			service.MaxBatchBodyBytes, per, service.MaxBatchBodyBytes/8)
 	}
 }

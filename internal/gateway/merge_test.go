@@ -155,3 +155,46 @@ func TestBatchStreamSubStreamFailure(t *testing.T) {
 		})
 	}
 }
+
+// TestBatchMergeReadsChunkedAnswer makes one replica answer its
+// sub-batch chunked, without the Content-Length replicas send with a
+// buffered answer. The gateway must still merge, into the body a direct
+// replica answers for the whole batch.
+func TestBatchMergeReadsChunkedAnswer(t *testing.T) {
+	var chunked atomic.Int64
+	f := newWrappedFleet(t, 2, nil, func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/analyze/batch" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.Header().Del("Content-Length")
+			w.WriteHeader(rec.Code)
+			body := rec.Body.Bytes()
+			_, _ = w.Write(body[:len(body)/2])
+			w.(http.Flusher).Flush() // the rest follows as a second chunk
+			_, _ = w.Write(body[len(body)/2:])
+			chunked.Add(1)
+		})
+	})
+	requireSplit(t, f.g, multiPlantBatch)
+	direct, want := doPost(t, f.reps[1].URL+"/v1/analyze/batch", multiPlantBatch)
+	if direct.StatusCode != http.StatusOK || direct.ContentLength != int64(len(want)) {
+		t.Fatalf("direct replica: status %d, Content-Length %d for a %d-byte body", direct.StatusCode, direct.ContentLength, len(want))
+	}
+	resp, got := doPost(t, f.gw.URL+"/v1/analyze/batch", multiPlantBatch)
+	if chunked.Load() != 1 {
+		t.Fatalf("replica 0 answered %d sub-batches chunked, want 1", chunked.Load())
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("gateway: status %d, body\n%s\nwant the direct replica's\n%s", resp.StatusCode, got, want)
+	}
+}

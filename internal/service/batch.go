@@ -130,57 +130,91 @@ func (r BatchResult) AppendJSON(dst []byte) []byte {
 // SplitItems is the envelope's reader, as AppendJSON is its writer: the
 // gateway splits batch requests and merges replica envelopes with it,
 // and RouteKey routes a batch by it. It returns the elements of the
-// top-level "items" array as sub-slices of body, in one scan after one
-// validity check. It accepts a body only where json.Unmarshal into
-// struct{ Items []json.RawMessage } gives the same elements: valid JSON
-// whose top level is an object with exactly one key encoding/json would
-// match to Items (case-insensitively; a key holding an escape is
-// refused outright), and that key's value is an array. With strict set
-// it also refuses every other top-level key, as the replicas' strict
-// decode of a BatchRequest does; without it, other keys (a
-// BatchResult's meta) are skipped.
+// top-level "items" array as sub-slices of body, in one scan that checks
+// the JSON grammar as it cuts. It accepts a body only where
+// json.Unmarshal into struct{ Items []json.RawMessage } gives the same
+// elements: valid JSON whose top level is an object with exactly one key
+// encoding/json would match to Items (case-insensitively; a key holding
+// an escape is refused outright), and that key's value is an array.
+// With strict set it also refuses every other top-level key, as the
+// replicas' strict decode of a BatchRequest does; without it, other keys
+// (a BatchResult's meta) are skipped.
 func SplitItems(body []byte, strict bool) (items []json.RawMessage, ok bool) {
-	if !json.Valid(body) {
-		return nil, false
-	}
 	i := skipSpace(body, 0)
-	if body[i] != '{' {
+	if i == len(body) || body[i] != '{' {
 		return nil, false
 	}
-	for i = skipSpace(body, i+1); body[i] != '}'; {
-		end := skipString(body, i)
+	if i = skipSpace(body, i+1); i < len(body) && body[i] == '}' {
+		return nil, false // no items key
+	}
+	for {
+		end := scanString(body, i)
+		if end < 0 {
+			return nil, false
+		}
 		key := body[i+1 : end-1]
-		i = skipSpace(body, skipSpace(body, end)+1) // past the colon
+		if i = skipSpace(body, end); i == len(body) || body[i] != ':' {
+			return nil, false
+		}
+		i = skipSpace(body, i+1)
 		switch {
 		case bytes.IndexByte(key, '\\') >= 0:
 			return nil, false
 		case bytes.EqualFold(key, []byte("items")):
-			if ok || body[i] != '[' {
+			if ok || i == len(body) || body[i] != '[' {
 				return nil, false
 			}
 			ok = true
-			for i = skipSpace(body, i+1); body[i] != ']'; {
-				end := skipValue(body, i)
-				items = append(items, body[i:end:end])
-				if i = skipSpace(body, end); body[i] == ',' {
-					i = skipSpace(body, i+1)
-				}
+			if i = skipSpace(body, i+1); i < len(body) && body[i] == ']' {
+				i++
+				break
 			}
-			i++
+			for {
+				end := scanValue(body, i, 2) // inside the envelope and the array
+				if end < 0 {
+					return nil, false
+				}
+				items = append(items, body[i:end:end])
+				if i = skipSpace(body, end); i == len(body) {
+					return nil, false
+				}
+				if body[i] == ']' {
+					i++
+					break
+				}
+				if body[i] != ',' {
+					return nil, false
+				}
+				i = skipSpace(body, i+1)
+			}
 		case strict:
 			return nil, false
 		default:
-			i = skipValue(body, i)
+			if i = scanValue(body, i, 1); i < 0 {
+				return nil, false
+			}
 		}
-		if i = skipSpace(body, i); body[i] == ',' {
-			i = skipSpace(body, i+1)
+		if i = skipSpace(body, i); i == len(body) {
+			return nil, false
 		}
+		if body[i] == '}' {
+			break
+		}
+		if body[i] != ',' {
+			return nil, false
+		}
+		i = skipSpace(body, i+1)
 	}
-	return items, ok
+	if !ok || skipSpace(body, i+1) != len(body) {
+		return nil, false
+	}
+	return items, true
 }
 
-// The scanners below walk bytes json.Valid has accepted, so they never
-// meet a malformed token or run off the end of the body.
+// The scanners below check the grammar encoding/json's scanner checks,
+// byte for byte, and return -1 where it would fail. maxNestingDepth is
+// its limit on open objects and arrays.
+const maxNestingDepth = 10000
 
 // skipSpace returns the index of the first non-whitespace byte at or
 // after i.
@@ -191,46 +225,145 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
-// skipString returns the index just past the string opening at b[i].
-func skipString(b []byte, i int) int {
-	for i++; b[i] != '"'; i++ {
-		if b[i] == '\\' {
-			i++
-		}
+// scanValue returns the index just past the value starting at b[i],
+// which depth open objects and arrays enclose.
+func scanValue(b []byte, i, depth int) int {
+	if i >= len(b) {
+		return -1
 	}
-	return i + 1
+	switch c := b[i]; c {
+	case '"':
+		return scanString(b, i)
+	case '{', '[':
+		if depth++; depth > maxNestingDepth {
+			return -1
+		}
+		closer := byte('}')
+		if c == '[' {
+			closer = ']'
+		}
+		if i = skipSpace(b, i+1); i < len(b) && b[i] == closer {
+			return i + 1
+		}
+		for {
+			if c == '{' {
+				if i = scanString(b, i); i < 0 {
+					return -1
+				}
+				if i = skipSpace(b, i); i == len(b) || b[i] != ':' {
+					return -1
+				}
+				i = skipSpace(b, i+1)
+			}
+			if i = scanValue(b, i, depth); i < 0 {
+				return -1
+			}
+			if i = skipSpace(b, i); i == len(b) {
+				return -1
+			}
+			switch b[i] {
+			case ',':
+				i = skipSpace(b, i+1)
+			case closer:
+				return i + 1
+			default:
+				return -1
+			}
+		}
+	case 't':
+		return scanLiteral(b, i, "true")
+	case 'f':
+		return scanLiteral(b, i, "false")
+	case 'n':
+		return scanLiteral(b, i, "null")
+	}
+	return scanNumber(b, i)
 }
 
-// skipValue returns the index just past the value starting at b[i],
-// tracking the nesting depth of objects and arrays.
-func skipValue(b []byte, i int) int {
-	switch b[i] {
-	case '"':
-		return skipString(b, i)
-	case '{', '[':
-		for depth := 0; ; {
-			switch b[i] {
-			case '"':
-				i = skipString(b, i)
-				continue
-			case '{', '[':
-				depth++
-			case '}', ']':
-				if depth--; depth == 0 {
-					return i + 1
-				}
+// scanString returns the index just past the string opening at b[i].
+// Control bytes must be escaped; any other byte, valid UTF-8 or not, may
+// appear as it is.
+func scanString(b []byte, i int) int {
+	if i >= len(b) || b[i] != '"' {
+		return -1
+	}
+	for i++; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1
+		case c < 0x20:
+			return -1
+		case c == '\\':
+			if i++; i == len(b) {
+				return -1
 			}
-			i++
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if i+4 >= len(b) {
+					return -1
+				}
+				for _, h := range b[i+1 : i+5] {
+					if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
+						return -1
+					}
+				}
+				i += 4
+			default:
+				return -1
+			}
 		}
 	}
-	// A number, true, false or null runs to the next delimiter.
-	for ; i < len(b); i++ {
-		switch b[i] {
-		case ',', ']', '}', ' ', '\t', '\n', '\r':
-			return i
+	return -1
+}
+
+// scanNumber returns the index just past the number starting at b[i]:
+// an optional minus, an integer part without leading zeros, then an
+// optional fraction and exponent, each with at least one digit.
+func scanNumber(b []byte, i int) int {
+	if b[i] == '-' {
+		i++
+	}
+	switch {
+	case i == len(b):
+		return -1
+	case b[i] == '0':
+		i++
+	case '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		if i = skipDigits(b, i+1); b[i-1] == '.' {
+			return -1
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		start := i
+		if i = skipDigits(b, i); i == start {
+			return -1
 		}
 	}
 	return i
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// scanLiteral returns the index just past lit at b[i].
+func scanLiteral(b []byte, i int, lit string) int {
+	if !bytes.HasPrefix(b[i:], []byte(lit)) {
+		return -1
+	}
+	return i + len(lit)
 }
 
 // batchItemError is the in-band envelope of one failed item.

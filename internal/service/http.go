@@ -155,7 +155,7 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := ReadSized(http.MaxBytesReader(w, r.Body, limit), min(r.ContentLength, limit))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -164,6 +164,37 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 		return nil, badRequest("read body: %v", err)
 	}
 	return body, nil
+}
+
+// maxPresize bounds the buffer ReadSized allocates before any body byte
+// arrives. A client can announce the largest Content-Length a route
+// accepts and then send nothing, so a length is trusted only this far;
+// a longer body grows the buffer as its bytes come in.
+const maxPresize = 64 << 10
+
+// ReadSized reads r to EOF like io.ReadAll. A size that is not negative
+// — a Content-Length, clamped by the caller to the most it reads —
+// sizes the buffer up to maxPresize, so a body of that size is read
+// into one allocation; any other body grows the buffer as io.ReadAll
+// does.
+func ReadSized(r io.Reader, size int64) ([]byte, error) {
+	if size < 0 {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, 0, min(size, maxPresize)+1) // the read that meets EOF needs room
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // handleHealth is the liveness probe: always 200 while the process can
@@ -280,8 +311,12 @@ func WantsStream(r *http.Request) bool {
 	return v == "1" || v == "true"
 }
 
+// writeResult writes one buffered compute answer. Its Content-Length
+// lets a reader, such as the gateway merging a split batch, read the
+// body into one buffer of the right size.
 func writeResult(w http.ResponseWriter, b []byte, hit bool) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	if hit {
 		w.Header().Set("X-Cache", "hit")
 	} else {

@@ -9,8 +9,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"ctrlsched/internal/experiments"
 )
@@ -423,5 +425,56 @@ func TestAnalyzeNonFiniteJSON(t *testing.T) {
 	}
 	if !json.Valid(bb) || !bytes.Contains(bb, []byte(`"wcrt":"inf"`)) {
 		t.Fatalf("batch envelope broke on non-finite item: %s", bb)
+	}
+}
+
+// TestReadSized reads one body with every kind of size hint: unknown,
+// exact, short of the body, past it, and zero. Every read returns the
+// whole body; an exact hint reads it into one allocation.
+func TestReadSized(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789"), 1000)
+	for _, size := range []int64{-1, int64(len(body)), 100, int64(len(body)) + 500, 0} {
+		got, err := ReadSized(iotest.HalfReader(bytes.NewReader(body)), size)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("size %d: read %d bytes, err %v; want the %d-byte body", size, len(got), err, len(body))
+		}
+	}
+	rd := bytes.NewReader(body)
+	allocs := testing.AllocsPerRun(20, func() {
+		rd.Reset(body)
+		_, _ = ReadSized(rd, int64(len(body)))
+	})
+	if allocs != 1 {
+		t.Fatalf("an exact size hint read the body in %v allocations, want 1", allocs)
+	}
+}
+
+// TestReadBodyTrustsLengthOnlyToPresize hands readBody requests that
+// announce the batch route's cap in Content-Length and end without a
+// body byte, as a client does that sends only headers and hangs up.
+// Each may cost maxPresize before its bytes arrive, never the announced
+// length; a body that really is longer than maxPresize is read whole.
+func TestReadBodyTrustsLengthOnlyToPresize(t *testing.T) {
+	const reads = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		r := httptest.NewRequest(http.MethodPost, "/v1/analyze/batch", iotest.ErrReader(io.ErrUnexpectedEOF))
+		r.ContentLength = MaxBatchBodyBytes
+		if _, err := readBody(httptest.NewRecorder(), r, MaxBatchBodyBytes); err == nil {
+			t.Fatal("a body that ended before its announced length was read without error")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per > 2*maxPresize {
+		t.Fatalf("a header-only request announcing %d bytes allocated %d bytes per read, want at most %d",
+			MaxBatchBodyBytes, per, 2*maxPresize)
+	}
+
+	body := bytes.Repeat([]byte("0123456789"), 3*maxPresize/10)
+	r := httptest.NewRequest(http.MethodPost, "/v1/analyze/batch", iotest.HalfReader(bytes.NewReader(body)))
+	r.ContentLength = int64(len(body))
+	if got, err := readBody(httptest.NewRecorder(), r, MaxBatchBodyBytes); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("read %d bytes, err %v; want the %d-byte body", len(got), err, len(body))
 	}
 }

@@ -138,7 +138,7 @@ func methodFunc(m string) func([]rta.Task) assign.Result {
 	switch m {
 	case "backtracking":
 		return func(ts []rta.Task) assign.Result {
-			return assign.BacktrackingOpts(ts, assign.Options{Memoize: true, MaxEvaluations: 2_000_000})
+			return assign.BacktrackingOpts(ts, assign.Options{Memoize: true, MaxEvaluations: assign.SearchBudget})
 		}
 	case "unsafe":
 		return assign.UnsafeQuadratic
